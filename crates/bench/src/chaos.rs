@@ -30,11 +30,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tdo_fault::{arm, arm_with_registry, ArmGuard, FaultPlan, Site};
 use tdo_metrics::Registry;
-use tdo_rand::Rng;
+use tdo_obs::json::{self, Value};
+use tdo_rand::{fnv1a64, Rng};
 use tdo_server::{client, Server, ServerConfig};
 use tdo_sim::{Cell, ExperimentSpec, Runner, SimConfig, SimResult};
-use tdo_store::{fnv1a64, Store};
+use tdo_store::Store;
 use tdo_workloads::{names, Scale};
+
+use crate::loadgen::normalize_response;
 
 /// Options for one `tdo chaos` invocation.
 #[derive(Clone, Debug)]
@@ -560,12 +563,6 @@ fn server_chaos(opts: &ChaosOpts, violations: &mut Vec<String>, cov: &mut Covera
     )
 }
 
-/// Collapses the coalesced flag so a coalesced and a directly simulated
-/// `/run` response compare equal.
-fn normalize_run_response(body: &str) -> String {
-    body.replace("\"coalesced\":1", "\"coalesced\":0")
-}
-
 /// Scenario 5b: the sharded serving tier under the same barrage. A
 /// four-shard store with the hot-result cache in front takes a seeded mix
 /// of single, batch and cold `/run` requests plus metric scrapes while
@@ -641,7 +638,7 @@ fn sharded_serving(opts: &ChaosOpts, violations: &mut Vec<String>, cov: &mut Cov
                 Ok(r) if r.ok() => {
                     ok += 1;
                     if let Some(b) = body {
-                        acked.entry(b).or_insert_with(|| normalize_run_response(&r.body));
+                        acked.entry(b).or_insert_with(|| normalize_response(&r.body));
                     }
                 }
                 Ok(_) => http_err += 1,
@@ -670,7 +667,7 @@ fn sharded_serving(opts: &ChaosOpts, violations: &mut Vec<String>, cov: &mut Cov
             for _ in 0..20 {
                 if let Ok(r) = client::post(&addr, "/run", body) {
                     if r.ok() {
-                        replayed = Some(normalize_run_response(&r.body));
+                        replayed = Some(normalize_response(&r.body));
                         break;
                     }
                 }
@@ -684,19 +681,11 @@ fn sharded_serving(opts: &ChaosOpts, violations: &mut Vec<String>, cov: &mut Cov
             }
         }
         // The tier's identity gauges and cache counters are live.
-        let scrape = client::get(&addr, "/metrics").map(|r| r.body).unwrap_or_default();
-        let field = |key: &str| {
-            scrape
-                .find(&format!("\"{key}\":"))
-                .map(|at| {
-                    scrape[at + key.len() + 3..]
-                        .chars()
-                        .take_while(char::is_ascii_digit)
-                        .collect::<String>()
-                })
-                .and_then(|d| d.parse::<u64>().ok())
-                .unwrap_or(0)
-        };
+        let scrape = client::get(&addr, "/metrics")
+            .ok()
+            .and_then(|r| json::parse(&r.body).ok())
+            .unwrap_or_default();
+        let field = |key: &str| json::get(&scrape, key).and_then(Value::as_u64).unwrap_or(0);
         if field("shards") != 4 {
             violations
                 .push(format!("sharded-serving: shard gauge reads {}, want 4", field("shards")));

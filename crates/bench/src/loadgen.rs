@@ -38,9 +38,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tdo_metrics::Histogram;
-use tdo_rand::{Rng, Zipf};
+use tdo_obs::json::{self, Value};
+use tdo_rand::{fnv1a64, Rng, Zipf};
 use tdo_server::client::{self, Response};
-use tdo_store::fnv1a64;
 use tdo_workloads::names;
 
 /// Arms the hot universe spans (small, so the working set stays cacheable).
@@ -254,8 +254,8 @@ fn plan_request(
 }
 
 /// Collapses the timing-dependent field so a coalesced and a directly
-/// simulated response digest identically.
-fn normalize_response(body: &str) -> String {
+/// simulated `/run` response digest (and compare) identically.
+pub(crate) fn normalize_response(body: &str) -> String {
     body.replace("\"coalesced\":1", "\"coalesced\":0")
 }
 
@@ -285,27 +285,7 @@ fn slow_post(addr: &str, path: &str, body: &str) -> io::Result<Response> {
     stream.flush()?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8_lossy(&raw);
-    let head_end = text
-        .find("\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no header terminator"))?;
-    let status = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed status line"))?;
-    Ok(Response { status, body: text[head_end + 4..].to_string(), trace: None })
-}
-
-/// Extracts `"key":123` from a JSON object body.
-fn scrape_u64(body: &str, key: &str) -> u64 {
-    let Some(at) = body.find(&format!("\"{key}\":")) else { return 0 };
-    body[at + key.len() + 3..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
+    client::parse_response(&raw)
 }
 
 /// Shared tallies the worker threads update.
@@ -336,8 +316,7 @@ pub fn run(opts: &LoadgenOpts) -> Result<LoadgenOutcome, String> {
     if !before.ok() {
         return Err(format!("`{}` answered HTTP {} on /metrics", opts.addr, before.status));
     }
-    let cache_hits0 = scrape_u64(&before.body, "cache_hits");
-    let cache_misses0 = scrape_u64(&before.body, "cache_misses");
+    let before = json::parse(&before.body).unwrap_or_default();
 
     let tallies = Arc::new(Tallies::default());
     let latency = Arc::new(Histogram::new());
@@ -404,9 +383,13 @@ pub fn run(opts: &LoadgenOpts) -> Result<LoadgenOutcome, String> {
 
     let after = client::get(&opts.addr, "/metrics")
         .map_err(|e| format!("cannot re-scrape `{}`: {e}", opts.addr))?;
-    let cache_hits = scrape_u64(&after.body, "cache_hits").saturating_sub(cache_hits0);
-    let cache_misses = scrape_u64(&after.body, "cache_misses").saturating_sub(cache_misses0);
-    let shards = scrape_u64(&after.body, "shards");
+    let after = json::parse(&after.body).unwrap_or_default();
+    let metric =
+        |m: &[(String, Value)], key: &str| json::get(m, key).and_then(Value::as_u64).unwrap_or(0);
+    let cache_hits = metric(&after, "cache_hits").saturating_sub(metric(&before, "cache_hits"));
+    let cache_misses =
+        metric(&after, "cache_misses").saturating_sub(metric(&before, "cache_misses"));
+    let shards = metric(&after, "shards");
 
     // The digest folds every (request, response) pair, sorted, so thread
     // interleaving cannot reach the bytes.

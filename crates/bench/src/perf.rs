@@ -18,6 +18,7 @@
 use std::fmt::Write as _;
 
 use tdo_metrics::{Histogram, HistogramSnapshot};
+use tdo_obs::json;
 use tdo_sim::{
     run_profiled, Cell, ExperimentSpec, Format, MachineProfile, PrefetchSetup, Report, Runner,
     SimConfig,
@@ -288,15 +289,8 @@ fn render_table(opts: &PerfOpts, rows: &[WorkloadPerf], gate: u64) -> String {
 
 /// Extracts an integer value for `key` from a flat baseline document.
 #[must_use]
-pub fn extract_key(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let at = json.find(&needle)?;
-    json[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .ok()
+pub fn extract_key(doc: &str, key: &str) -> Option<u64> {
+    json::get(&json::parse(doc).ok()?, key)?.as_u64()
 }
 
 /// Renders the per-phase wall-time delta table between a committed baseline
@@ -307,11 +301,10 @@ pub fn extract_key(json: &str, key: &str) -> Option<u64> {
 #[must_use]
 pub fn phase_delta_table(baseline_json: &str, current_json: &str) -> String {
     let keys = |doc: &str| -> Vec<String> {
-        doc.lines()
-            .filter_map(|l| {
-                let name = l.trim_start().strip_prefix("\"wall_phase_")?.split("_ns\"").next()?;
-                Some(name.to_string())
-            })
+        json::parse(doc)
+            .unwrap_or_default()
+            .into_iter()
+            .filter_map(|(k, _)| Some(k.strip_prefix("wall_phase_")?.strip_suffix("_ns")?.into()))
             .collect()
     };
     // Current-run phase order first, then any baseline-only stragglers.

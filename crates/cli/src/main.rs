@@ -24,7 +24,8 @@ use std::io::{IsTerminal as _, Write as _};
 use std::process::ExitCode;
 
 use tdo_isa::{decode, INST_BYTES};
-use tdo_obs::{validate_chrome_trace, validate_jsonl};
+use tdo_obs::json::{self, Value};
+use tdo_obs::{validate_chrome_trace, validate_jsonl, LedgerKind};
 use tdo_server::{client, install_sigint_handler, Server, ServerConfig};
 use tdo_sim::{
     policy_candidates, run_traced, Cell, ExperimentSpec, Format, Machine, PrefetchSetup, Report,
@@ -938,68 +939,40 @@ struct History {
     rows: Vec<(u64, Vec<u64>)>,
 }
 
-/// Extracts `"key":["a","b",...]` from a JSON line, unescaping `\"`/`\\`.
-fn json_str_array(line: &str, key: &str) -> Option<Vec<String>> {
-    let at = line.find(&format!("\"{key}\":["))? + key.len() + 4;
-    let mut out = Vec::new();
-    let mut chars = line[at..].chars();
-    loop {
-        match chars.next()? {
-            ']' => return Some(out),
-            '"' => {
-                let mut cur = String::new();
-                loop {
-                    match chars.next()? {
-                        '\\' => cur.push(chars.next()?),
-                        '"' => break,
-                        c => cur.push(c),
-                    }
-                }
-                out.push(cur);
-            }
-            ',' | ' ' => {}
-            _ => return None,
-        }
-    }
-}
-
-/// Extracts `"key":[1,2,...]` from a JSON line.
-fn json_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
-    let start = line.find(&format!("\"{key}\":["))? + key.len() + 4;
-    let end = start + line[start..].find(']')?;
-    let body = line[start..end].trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|t| t.trim().parse().ok()).collect()
-}
-
-/// Extracts `"key":123` from a JSON line.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
-    let digits: String = line[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+/// The array under `key` in a parsed history line, each element converted
+/// by `each`; `None` when the key is missing or any element does not fit.
+fn json_array<T>(
+    pairs: &[(String, Value)],
+    key: &str,
+    each: impl Fn(&Value) -> Option<T>,
+) -> Option<Vec<T>> {
+    json::get(pairs, key)?.as_array()?.iter().map(each).collect()
 }
 
 /// Parses the `/metrics/history` JSONL body (header line + one line per
 /// retained row).
 fn parse_history(text: &str) -> Result<History, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = lines.next().ok_or("empty history response")?;
-    let schema = json_u64(header, "series_schema").ok_or("history header lacks series_schema")?;
+    let header = json::parse(lines.next().ok_or("empty history response")?)
+        .map_err(|e| format!("bad history header: {e}"))?;
+    let schema = json::get(&header, "series_schema")
+        .and_then(Value::as_u64)
+        .ok_or("history header lacks series_schema")?;
     if schema != tdo_metrics::series::SERIES_SCHEMA_VERSION {
         return Err(format!("unsupported series schema v{schema}"));
     }
-    let columns = json_str_array(header, "columns").ok_or("history header lacks columns")?;
-    let kinds = json_str_array(header, "kinds").ok_or("history header lacks kinds")?;
+    let string = |v: &Value| v.as_str().map(str::to_owned);
+    let columns = json_array(&header, "columns", string).ok_or("history header lacks columns")?;
+    let kinds = json_array(&header, "kinds", string).ok_or("history header lacks kinds")?;
     if kinds.len() != columns.len() {
         return Err("history header kinds/columns length mismatch".into());
     }
     let mut rows = Vec::new();
     for line in lines {
-        let tick = json_u64(line, "tick").ok_or_else(|| format!("bad history row: {line}"))?;
-        let values =
-            json_u64_array(line, "values").ok_or_else(|| format!("bad history row: {line}"))?;
+        let bad = || format!("bad history row: {line}");
+        let row = json::parse(line).map_err(|_| bad())?;
+        let tick = json::get(&row, "tick").and_then(Value::as_u64).ok_or_else(bad)?;
+        let values = json_array(&row, "values", Value::as_u64).ok_or_else(bad)?;
         if values.len() != columns.len() {
             return Err(format!("history row width {} != schema {}", values.len(), columns.len()));
         }
@@ -1187,10 +1160,9 @@ fn cmd_why(name: &str, o: &Opts) -> Result<ExitCode, String> {
     };
     store_footer(&runner);
 
-    let repairs: Vec<_> =
-        r.ledger.iter().filter(|rec| rec.kind == tdo_core::LedgerKind::Repair).collect();
+    let repairs: Vec<_> = r.ledger.iter().filter(|rec| rec.kind == LedgerKind::Repair).collect();
     let switches: Vec<_> =
-        policy.ledger.iter().filter(|rec| rec.kind == tdo_core::LedgerKind::ArmSwitch).collect();
+        policy.ledger.iter().filter(|rec| rec.kind == LedgerKind::ArmSwitch).collect();
 
     if o.format != Format::Table {
         // Machine-readable: the raw records, one row each (CI artifacts).
@@ -1207,13 +1179,13 @@ fn cmd_why(name: &str, o: &Opts) -> Result<ExitCode, String> {
             .col("epoch", 8)
             .rule(0);
         for rec in repairs.iter().chain(switches.iter()) {
-            let (old, new) = if rec.kind == tdo_core::LedgerKind::Repair {
+            let (old, new) = if rec.kind == LedgerKind::Repair {
                 (rec.old.to_string(), rec.new.to_string())
             } else {
                 (candidate_name(rec.old), candidate_name(rec.new))
             };
             rep.row(
-                if rec.kind == tdo_core::LedgerKind::Repair { "repair" } else { "arm_switch" },
+                if rec.kind == LedgerKind::Repair { "repair" } else { "arm_switch" },
                 [
                     rec.cycle.to_string(),
                     format!("{:#x}", rec.group),

@@ -39,15 +39,11 @@
 pub mod classify;
 pub mod dlt;
 pub mod insert;
-pub mod ledger;
 pub mod optimizer;
 
 pub use classify::{classify, Classification, LoadClass, LoadInfo, ObjectGroup};
 pub use dlt::{Dlt, DltConfig, DltEntry, LoadSnapshot};
 pub use insert::{plan_insertion, GroupKind, InsertOptions, InsertionPlan, PlannedGroup};
-pub use ledger::{
-    ledger_digest, DecisionLedger, LedgerKind, LedgerRecord, LEDGER_CAPACITY, LEDGER_RECORD_WORDS,
-};
 pub use optimizer::{
     GroupState, OptimizerConfig, OptimizerStats, PrefetchOptimizer, PreparedAction, SwPrefetchMode,
     REPAIR_TOLERANCE_MILLI,

@@ -12,7 +12,9 @@
 use std::collections::HashMap;
 
 use tdo_isa::{encode, patch_prefetch_distance, Inst, Reg, Word};
-use tdo_obs::{Event, LoadClassKind, PrefetchGroupKind, SharedProbe};
+use tdo_obs::{
+    Event, LedgerKind, LedgerRecord, LoadClassKind, PrefetchGroupKind, SharedLedger, SharedProbe,
+};
 use tdo_trident::{
     CodeSource, HotEvent, InstallError, Patch, PendingInstall, TraceId, TraceOp, Trident,
 };
@@ -165,8 +167,9 @@ pub struct PrefetchOptimizer {
     member_to_rep: HashMap<(u64, u64), u64>,
     /// Counters.
     pub stats: OptimizerStats,
-    /// Decision-audit ledger: one record per in-place distance repair.
-    pub ledger: crate::DecisionLedger,
+    /// The ring each repair decision lands in (see
+    /// [`PrefetchOptimizer::set_ledger`]).
+    ledger: SharedLedger,
     probe: SharedProbe,
     probe_on: bool,
     finalized: bool,
@@ -185,7 +188,7 @@ impl PrefetchOptimizer {
             states: HashMap::new(),
             member_to_rep: HashMap::new(),
             stats: OptimizerStats::default(),
-            ledger: crate::DecisionLedger::new(),
+            ledger: SharedLedger::default(),
             probe: tdo_obs::null_probe(),
             probe_on: false,
             finalized: false,
@@ -198,11 +201,18 @@ impl PrefetchOptimizer {
         &self.cfg
     }
 
-    /// Attaches an observability probe; classification, insertion, repair
-    /// and maturity events are recorded through it from now on.
+    /// Attaches an observability probe; classification, insertion and
+    /// maturity events are recorded through it from now on (repair events
+    /// too, through the ledger).
     pub fn set_probe(&mut self, probe: SharedProbe) {
         self.probe_on = probe.borrow().enabled();
         self.probe = probe;
+    }
+
+    /// Records repair decisions in `ledger` — the driver's ring, so the
+    /// machine keeps one — instead of this optimizer's own.
+    pub fn set_ledger(&mut self, ledger: SharedLedger) {
+        self.ledger = ledger;
     }
 
     /// Records one event when a probe is attached.
@@ -518,26 +528,9 @@ impl PrefetchOptimizer {
         let deref = state.deref_base_off.map(|b| (b, state.stride));
         let repairs_left = u64::from(state.repairs_left);
         let exhausted = state.repairs_left == 0;
-        if std::env::var_os("TDO_DEBUG").is_some() {
-            eprintln!(
-                "repair load={orig_pc:#x} avg={avg_access:.1} prev={prev:?} d {old}->{new_distance} max={} left={}",
-                state.max_distance, state.repairs_left
-            );
-        }
-        self.emit(
-            now,
-            Event::DistanceRepaired {
-                trace: trace_id.0,
-                group: rep_pc,
-                pc: orig_pc,
-                old,
-                new: new_distance,
-                avg_latency_x100: (avg_access * 100.0).round() as u64,
-            },
-        );
-        self.ledger.push(crate::LedgerRecord {
+        let record = LedgerRecord {
             cycle: now,
-            kind: crate::LedgerKind::Repair,
+            kind: LedgerKind::Repair,
             group: rep_pc,
             pc: orig_pc,
             old: u64::from(old),
@@ -546,6 +539,10 @@ impl PrefetchOptimizer {
             evidence_b: prev.map_or(0, |p| (p * 100.0).round() as u64),
             margin_milli: REPAIR_TOLERANCE_MILLI,
             epoch: repairs_left,
+        };
+        self.ledger.borrow_mut().record(record, &self.probe, |record| Event::DistanceRepaired {
+            trace: trace_id.0,
+            record,
         });
 
         dlt.clear_window(load_pc);

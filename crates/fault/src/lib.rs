@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use tdo_metrics::{Counter, Registry};
-use tdo_rand::Rng;
+use tdo_rand::{splitmix64, Rng};
 
 /// Number of declared injection sites (length of [`Site::ALL`]).
 pub const NSITES: usize = 14;
@@ -209,14 +209,6 @@ fn lock_plane() -> MutexGuard<'static, Option<Plane>> {
     plane().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// SplitMix64 finalizer: a strong 64-bit mixing function.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Keeps the fault plane armed; disarms (and forgets the plan) on drop.
 ///
 /// Holding the guard also holds a process-global gate mutex, so at most one
@@ -315,10 +307,10 @@ fn decide(site: Site, key: Option<u64>) -> Option<u64> {
     let fired = match plane.modes[i] {
         Mode::Off => None,
         Mode::Prob { per_mille } => {
-            let h = mix(plane.salts[i] ^ key.unwrap_or(plane.hits[i]));
-            (h % 1000 < u64::from(per_mille)).then(|| mix(h))
+            let h = splitmix64(plane.salts[i] ^ key.unwrap_or(plane.hits[i]));
+            (h % 1000 < u64::from(per_mille)).then(|| splitmix64(h))
         }
-        Mode::At { nth } => (plane.hits[i] == nth).then(|| mix(plane.salts[i] ^ nth)),
+        Mode::At { nth } => (plane.hits[i] == nth).then(|| splitmix64(plane.salts[i] ^ nth)),
     };
     if let Some(token) = fired {
         plane.fires[i] += 1;

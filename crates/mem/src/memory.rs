@@ -5,6 +5,8 @@
 //! writes. Reads of unmapped memory return zero without allocating, which
 //! also gives the non-faulting load (`ldnf`) its defined semantics.
 
+use tdo_rand::Fnv1a;
+
 use crate::fasthash::FastMap;
 
 const PAGE_BITS: u32 = 12;
@@ -98,20 +100,19 @@ impl Memory {
         }
     }
 
-    /// A simple checksum of all resident bytes, used by integration tests to
-    /// assert architectural equivalence across optimization modes.
+    /// An FNV-1a checksum of all resident pages (keys and bytes, in key
+    /// order), used by integration tests to assert architectural
+    /// equivalence across optimization modes.
     #[must_use]
     pub fn checksum(&self) -> u64 {
         let mut keys: Vec<&u64> = self.pages.keys().collect();
         keys.sort_unstable();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a::new();
         for k in keys {
-            h = h.wrapping_mul(0x100_0000_01b3) ^ k;
-            for b in self.pages[k].iter() {
-                h = h.wrapping_mul(0x100_0000_01b3) ^ u64::from(*b);
-            }
+            h.update(&k.to_le_bytes());
+            h.update(&self.pages[k][..]);
         }
-        h
+        h.finish()
     }
 }
 

@@ -8,6 +8,8 @@
 
 use std::fmt::Write as _;
 
+use crate::ledger::LedgerRecord;
+
 /// Which kind of hot event moved through the queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueueEventKind {
@@ -211,20 +213,15 @@ pub enum Event {
         /// Number of prefetch instructions inserted.
         prefetches: u32,
     },
-    /// The optimizer ran one repair decision for a group.
+    /// The optimizer ran one repair decision for a group. The record's
+    /// `group`, `pc`, `old`/`new` distance (equal when held) and
+    /// `evidence_a` (the load's windowed average access latency ×100) are
+    /// serialized; the rest lives in the ledger only.
     DistanceRepaired {
         /// Trace id carrying the group.
         trace: u32,
-        /// Group key (representative load original PC).
-        group: u64,
-        /// Original PC of the triggering load.
-        pc: u64,
-        /// Distance before the decision.
-        old: u8,
-        /// Distance after the decision (equal to `old` when held).
-        new: u8,
-        /// The load's average access latency over the window, ×100.
-        avg_latency_x100: u64,
+        /// The decision's ledger record ([`crate::LedgerKind::Repair`]).
+        record: LedgerRecord,
     },
     /// A load matured: its repair budget is spent or it is unprefetchable,
     /// so it stops firing events.
@@ -249,17 +246,16 @@ pub enum Event {
         /// lines per software prefetch issued).
         pf_acc_milli: u64,
     },
-    /// The policy controller replaced the hardware prefetcher arm, carrying
-    /// the windowed metrics that triggered the decision.
+    /// The policy controller replaced the hardware prefetcher arm. The
+    /// record's `evidence_a` / `evidence_b` (the triggering epoch's
+    /// milli-IPC and milli-MPKI) are serialized next to the arm names.
     ArmSwitch {
         /// Arm kind name being retired (`tdo_arms::ArmKind::name`).
         from: &'static str,
         /// Arm kind name being installed.
         to: &'static str,
-        /// The triggering epoch's IPC ×1000.
-        ipc_milli: u64,
-        /// The triggering epoch's L1 load misses per kilo-instruction ×1000.
-        mpki_milli: u64,
+        /// The decision's ledger record ([`crate::LedgerKind::ArmSwitch`]).
+        record: LedgerRecord,
     },
 }
 
@@ -353,10 +349,13 @@ impl Event {
                     kind.name()
                 );
             }
-            Event::DistanceRepaired { trace, group, pc, old, new, avg_latency_x100 } => {
+            Event::DistanceRepaired {
+                trace,
+                record: LedgerRecord { group, pc, old, new, evidence_a, .. },
+            } => {
                 let _ = write!(
                     out,
-                    ",\"trace\":{trace},\"group\":{group},\"pc\":{pc},\"old\":{old},\"new\":{new},\"avg_latency_x100\":{avg_latency_x100}"
+                    ",\"trace\":{trace},\"group\":{group},\"pc\":{pc},\"old\":{old},\"new\":{new},\"avg_latency_x100\":{evidence_a}"
                 );
             }
             Event::LoadMatured { pc } => {
@@ -375,10 +374,10 @@ impl Event {
                     ",\"insts\":{insts},\"dcycles\":{dcycles},\"ipc_milli\":{ipc_milli},\"l1_miss_milli\":{l1_miss_milli},\"l2_miss_milli\":{l2_miss_milli},\"pf_acc_milli\":{pf_acc_milli}"
                 );
             }
-            Event::ArmSwitch { from, to, ipc_milli, mpki_milli } => {
+            Event::ArmSwitch { from, to, record: LedgerRecord { evidence_a, evidence_b, .. } } => {
                 let _ = write!(
                     out,
-                    ",\"from\":\"{from}\",\"to\":\"{to}\",\"ipc_milli\":{ipc_milli},\"mpki_milli\":{mpki_milli}"
+                    ",\"from\":\"{from}\",\"to\":\"{to}\",\"ipc_milli\":{evidence_a},\"mpki_milli\":{evidence_b}"
                 );
             }
         }
@@ -389,19 +388,29 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LedgerKind;
 
-    #[test]
-    fn jsonl_lines_are_flat_objects_with_cycle_first() {
-        let mut out = String::new();
-        Event::DistanceRepaired {
-            trace: 3,
+    /// A decision record carrying the given evidence pair.
+    fn record(kind: LedgerKind, evidence_a: u64, evidence_b: u64) -> LedgerRecord {
+        LedgerRecord {
+            cycle: 0,
+            kind,
             group: 0x2000,
             pc: 0x2008,
             old: 2,
             new: 3,
-            avg_latency_x100: 12345,
+            evidence_a,
+            evidence_b,
+            margin_milli: 20,
+            epoch: 5,
         }
-        .write_jsonl(900, &mut out);
+    }
+
+    #[test]
+    fn jsonl_lines_are_flat_objects_with_cycle_first() {
+        let mut out = String::new();
+        Event::DistanceRepaired { trace: 3, record: record(LedgerKind::Repair, 12345, 11_000) }
+            .write_jsonl(900, &mut out);
         assert_eq!(
             out,
             "{\"cycle\":900,\"event\":\"distance_repaired\",\"trace\":3,\"group\":8192,\
@@ -436,16 +445,17 @@ mod tests {
             }
             .name()
         ));
-        assert!(EVENT_NAMES.contains(
-            &Event::ArmSwitch { from: "stream", to: "delta", ipc_milli: 0, mpki_milli: 0 }.name()
-        ));
+        let record = record(LedgerKind::ArmSwitch, 0, 0);
+        assert!(
+            EVENT_NAMES.contains(&Event::ArmSwitch { from: "stream", to: "delta", record }.name())
+        );
     }
 
     #[test]
     fn arm_switch_serializes_names_and_window_metrics() {
         let mut out = String::new();
-        Event::ArmSwitch { from: "stream", to: "nextline", ipc_milli: 850, mpki_milli: 12_500 }
-            .write_jsonl(4242, &mut out);
+        let record = record(LedgerKind::ArmSwitch, 850, 12_500);
+        Event::ArmSwitch { from: "stream", to: "nextline", record }.write_jsonl(4242, &mut out);
         assert_eq!(
             out,
             "{\"cycle\":4242,\"event\":\"arm_switch\",\"from\":\"stream\",\"to\":\"nextline\",\

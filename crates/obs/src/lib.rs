@@ -21,6 +21,10 @@
 //!   ([`Recorder::to_chrome_trace`]) viewable in `about:tracing`/Perfetto.
 //! * [`validate`] — a schema check for emitted JSONL logs (used by tests
 //!   and CI via `tdo trace-validate`).
+//! * [`ledger`] — the decision-audit ledger: the [`LedgerRecord`] every
+//!   repair and arm switch produces, and the bounded ring that keeps them
+//!   and forwards each to an enabled probe.
+//! * [`json`] — the workspace's one JSON reader and string escaper.
 //!
 //! Layers share one probe through [`SharedProbe`]
 //! (`Rc<RefCell<dyn Probe>>`): the driver, the Trident runtime and the
@@ -32,6 +36,8 @@
 #![warn(clippy::all)]
 
 pub mod event;
+pub mod json;
+pub mod ledger;
 pub mod logline;
 pub mod profile;
 pub mod recorder;
@@ -43,6 +49,10 @@ use std::rc::Rc;
 
 pub use event::{
     DropReason, Event, HelperJobKind, LoadClassKind, PrefetchGroupKind, QueueEventKind,
+};
+pub use ledger::{
+    ledger_digest, DecisionLedger, LedgerKind, LedgerRecord, SharedLedger, LEDGER_CAPACITY,
+    LEDGER_RECORD_WORDS,
 };
 pub use logline::{validate_log, Level};
 pub use profile::PhaseTimer;

@@ -35,6 +35,8 @@ use std::time::Instant;
 use tdo_metrics::{Counter, Registry};
 use tdo_rand::Rng;
 
+use crate::json::Value;
+
 /// Mask keeping ids and arguments within `i64` range so every value in a
 /// flight dump round-trips through integer-only JSONL.
 pub const ID_MASK: u64 = i64::MAX as u64;
@@ -651,7 +653,7 @@ pub fn parse_flight(log: &str) -> Result<Vec<FlightRecord>, String> {
 
 fn parse_flight_line(line: &str) -> Result<FlightRecord, String> {
     const KEYS: [&str; 7] = ["trace", "ts", "event", "kind", "span", "parent", "arg"];
-    let fields = crate::validate::parse_flat_fields(line)?;
+    let fields = crate::validate::parse_schema_line(line)?;
     if fields.len() != KEYS.len() {
         return Err(format!("expected {} fields, found {}", KEYS.len(), fields.len()));
     }
@@ -663,14 +665,14 @@ fn parse_flight_line(line: &str) -> Result<FlightRecord, String> {
             return Err(format!("field {} must be `{want}`, found `{key}`", i + 1));
         }
         match (want, val) {
-            ("event", crate::validate::FlatVal::Str(s)) => {
+            ("event", Value::Str(s)) => {
                 ev =
                     EV_NAMES.iter().position(|n| n == s).and_then(|p| EvKind::from_index(p as u64));
                 if ev.is_none() {
                     return Err(format!("unknown event `{s}`"));
                 }
             }
-            ("kind", crate::validate::FlatVal::Str(s)) => {
+            ("kind", Value::Str(s)) => {
                 kind = FLIGHT_KIND_NAMES
                     .iter()
                     .position(|n| n == s)
@@ -679,13 +681,11 @@ fn parse_flight_line(line: &str) -> Result<FlightRecord, String> {
                     return Err(format!("unknown kind `{s}`"));
                 }
             }
-            ("event" | "kind", crate::validate::FlatVal::Int(_)) => {
-                return Err(format!("`{want}` must be a string"));
+            ("event" | "kind", _) => return Err(format!("`{want}` must be a string")),
+            (_, v) => {
+                ints[i] =
+                    v.as_u64().ok_or_else(|| format!("`{want}` must be a non-negative integer"))?;
             }
-            (_, crate::validate::FlatVal::Int(v)) if *v >= 0 => {
-                ints[i] = u64::try_from(*v).unwrap_or(0);
-            }
-            _ => return Err(format!("`{want}` must be a non-negative integer")),
         }
     }
     Ok(FlightRecord {

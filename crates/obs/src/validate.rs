@@ -1,85 +1,37 @@
 //! Schema validation for emitted logs — used by tests and by CI through
 //! `tdo trace-validate`.
 //!
-//! The JSONL validator is a tiny hand-rolled parser for exactly what the
-//! serializer produces: one flat object per line, string keys, integer or
-//! string values. It checks the schema, not just well-formedness:
+//! The JSONL validator checks exactly what the serializer produces: one
+//! compact flat object per line (no whitespace between tokens, no string
+//! escapes), string keys, integer or string values. It checks the schema,
+//! not just well-formedness:
 //!
 //! * `"cycle"` is the first key and an integer, non-decreasing across lines;
 //! * `"event"` is the second key and one of [`crate::event::EVENT_NAMES`];
 //! * every other value is an integer or a plain string.
 
 use crate::event::EVENT_NAMES;
+use crate::json::{self, Value};
 
-/// One parsed value in a flat JSONL object.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum FlatVal {
-    Int(i64),
-    Str(String),
-}
-
-/// Parses one flat JSON object line into `(key, value)` pairs.
-pub(crate) fn parse_flat_fields(line: &str) -> Result<Vec<(String, FlatVal)>, String> {
-    let s: Vec<char> = line.chars().collect();
-    let mut i = 0usize;
-    let expect = |i: &mut usize, c: char| -> Result<(), String> {
-        if s.get(*i) == Some(&c) {
-            *i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{c}` at column {}", *i + 1))
-        }
-    };
-    let parse_string = |i: &mut usize| -> Result<String, String> {
-        if s.get(*i) != Some(&'"') {
-            return Err(format!("expected string at column {}", *i + 1));
-        }
-        *i += 1;
-        let mut out = String::new();
-        while let Some(&c) = s.get(*i) {
-            *i += 1;
-            match c {
-                '"' => return Ok(out),
-                '\\' => return Err("escapes are not part of the schema".into()),
-                c => out.push(c),
+/// Parses one serializer-shaped line — a compact, escape-free flat object
+/// of integer and string values — through the shared [`json`] reader.
+pub(crate) fn parse_schema_line(line: &str) -> Result<Vec<(String, Value)>, String> {
+    let mut in_string = false;
+    for (i, c) in line.char_indices() {
+        match c {
+            '"' => in_string = !in_string,
+            '\\' => return Err(format!("escape at column {} is not part of the schema", i + 1)),
+            c if c.is_ascii_whitespace() && !in_string => {
+                return Err(format!("whitespace at column {} is not part of the schema", i + 1));
             }
-        }
-        Err("unterminated string".into())
-    };
-    let parse_int = |i: &mut usize| -> Result<i64, String> {
-        let start = *i;
-        if s.get(*i) == Some(&'-') {
-            *i += 1;
-        }
-        while s.get(*i).is_some_and(char::is_ascii_digit) {
-            *i += 1;
-        }
-        let text: String = s[start..*i].iter().collect();
-        text.parse().map_err(|_| format!("expected integer at column {}", start + 1))
-    };
-
-    let mut fields = Vec::new();
-    expect(&mut i, '{')?;
-    loop {
-        let key = parse_string(&mut i)?;
-        expect(&mut i, ':')?;
-        let val = if s.get(i) == Some(&'"') {
-            FlatVal::Str(parse_string(&mut i)?)
-        } else {
-            FlatVal::Int(parse_int(&mut i)?)
-        };
-        fields.push((key, val));
-        match s.get(i) {
-            Some(',') => i += 1,
-            Some('}') => {
-                i += 1;
-                break;
-            }
-            _ => return Err(format!("expected `,` or `}}` at column {}", i + 1)),
+            _ => {}
         }
     }
-    if i != s.len() {
-        return Err(format!("trailing content at column {}", i + 1));
+    let fields = json::parse(line)?;
+    for (key, value) in &fields {
+        if !matches!(value, Value::Int(_) | Value::Str(_)) {
+            return Err(format!("`{key}` must be an integer or a string"));
+        }
     }
     Ok(fields)
 }
@@ -94,12 +46,12 @@ pub(crate) fn parse_flat_fields(line: &str) -> Result<Vec<(String, FlatVal)>, St
 /// it.
 pub fn validate_jsonl(log: &str) -> Result<usize, String> {
     let mut count = 0usize;
-    let mut last_cycle = 0i64;
+    let mut last_cycle = 0;
     for (no, line) in log.lines().enumerate() {
         let at = |m: String| format!("line {}: {m}", no + 1);
-        let fields = parse_flat_fields(line).map_err(&at)?;
+        let fields = parse_schema_line(line).map_err(&at)?;
         match fields.first() {
-            Some((k, FlatVal::Int(cycle))) if k == "cycle" => {
+            Some((k, Value::Int(cycle))) if k == "cycle" => {
                 if *cycle < last_cycle {
                     return Err(at(format!(
                         "cycle {cycle} goes backwards (previous {last_cycle})"
@@ -110,7 +62,7 @@ pub fn validate_jsonl(log: &str) -> Result<usize, String> {
             _ => return Err(at("first field must be an integer `cycle`".into())),
         }
         match fields.get(1) {
-            Some((k, FlatVal::Str(name))) if k == "event" => {
+            Some((k, Value::Str(name))) if k == "event" => {
                 if !EVENT_NAMES.contains(&name.as_str()) {
                     return Err(at(format!("unknown event `{name}`")));
                 }
@@ -189,6 +141,10 @@ mod tests {
         );
         assert!(validate_jsonl("not json").is_err(), "garbage");
         assert!(validate_jsonl("{\"cycle\":1,\"event\":\"sample\"} extra").is_err(), "trailing");
+        assert!(validate_jsonl("{\"cycle\":1, \"event\":\"sample\"}").is_err(), "whitespace");
+        assert!(validate_jsonl("{\"cycle\":1,\"event\":\"sam\\u0070le\"}").is_err(), "escape");
+        assert!(validate_jsonl("{\"cycle\":1,\"event\":\"sample\",\"x\":1.5}").is_err(), "float");
+        assert!(validate_jsonl("{\"cycle\":1,\"event\":\"sample\",\"x\":[1]}").is_err(), "array");
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! the same seed produce the same stream on every platform, every run, and
 //! on every thread — there is no global state anywhere in this crate.
 //!
+//! The crate also owns the workspace's stable hashes — FNV-1a
+//! ([`fnv1a64`], [`Fnv1a`]) and the SplitMix64 finalizer ([`mix64`],
+//! [`splitmix64`]) — so every key, checksum, digest and seeded schedule is
+//! computed by one copy of each.
+//!
 //! ```
 //! use tdo_rand::Rng;
 //!
@@ -23,6 +28,10 @@
 
 use std::ops::Range;
 
+mod hash;
+
+pub use hash::{fnv1a64, mix64, splitmix64, Fnv1a};
+
 /// A deterministic xoshiro256++ generator.
 #[derive(Clone, Debug)]
 pub struct Rng {
@@ -35,11 +44,8 @@ impl Rng {
     pub fn new(seed: u64) -> Rng {
         let mut sm = seed;
         let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            sm = sm.wrapping_add(hash::GOLDEN_GAMMA);
+            mix64(sm)
         };
         Rng { s: [next(), next(), next(), next()] }
     }

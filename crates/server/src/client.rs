@@ -72,7 +72,12 @@ pub fn post(addr: &str, path: &str, body: &str) -> io::Result<Response> {
     request(addr, "POST", path, Some(body))
 }
 
-fn parse_response(raw: &[u8]) -> io::Result<Response> {
+/// Parses one raw HTTP/1.1 response (status, `X-Tdo-Trace`, UTF-8 body).
+///
+/// # Errors
+///
+/// `InvalidData` on broken framing, a bad status line or non-UTF-8 bytes.
+pub fn parse_response(raw: &[u8]) -> io::Result<Response> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let head_end = raw
         .windows(4)

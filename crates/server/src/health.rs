@@ -31,8 +31,8 @@ use std::sync::Mutex;
 
 use tdo_metrics::series::{ColKind, Column, Series, SERIES_SCHEMA_VERSION};
 use tdo_metrics::{Gauge, Histogram, Registry};
+use tdo_obs::json::escape;
 
-use crate::json::escape;
 use crate::relock;
 
 /// Retained history rows; at the default ~100 ms cadence this is ~25 s of

@@ -1,68 +1,23 @@
-//! A tiny flat-JSON parser for `/run` request bodies.
+//! `/run` request bodies: the cell-spec grammar, checked on top of the
+//! workspace's one JSON reader ([`tdo_obs::json`]).
 //!
-//! The cell spec grammar is deliberately small: one object whose values are
-//! strings, non-negative integers or booleans — no nesting, no arrays, no
-//! floats — or, for the batch form, exactly
-//! `{"cells":[<flat object>, …]}` (one level of array, each element a flat
-//! object). Anything else is a parse error (and therefore an HTTP 400),
-//! never a panic. Response bodies are built by hand (integer-only), so this
-//! is the only JSON *reading* the daemon does.
+//! A cell spec is one flat object whose values are strings, non-negative
+//! integers or booleans — no nesting, no arrays, no floats, no negatives.
+//! The batch form is exactly `{"cells":[<cell spec>, …]}`: one key whose
+//! value is an array of cell specs. Anything else is a parse error (and
+//! therefore an HTTP 400), never a panic.
 
-/// One parsed value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Value {
-    /// A JSON string.
-    Str(String),
-    /// A non-negative integer.
-    Int(u64),
-    /// A boolean.
-    Bool(bool),
-}
+use tdo_obs::json::{self, Value};
 
-impl Value {
-    /// The string contents, if this is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The integer value, if this is an integer.
-    #[must_use]
-    pub fn as_int(&self) -> Option<u64> {
-        match self {
-            Value::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a flat JSON object into `(key, value)` pairs in document order.
+/// Parses a flat cell-spec object into `(key, value)` pairs in document
+/// order.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on any deviation from the flat-object
 /// grammar (which the server surfaces as a 400).
 pub fn parse_object(text: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let pairs = p.flat_object()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing bytes after object".into());
-    }
-    Ok(pairs)
+    cell_spec(json::parse(text)?)
 }
 
 /// A parsed `/run` body: one flat cell spec, or the batch form.
@@ -75,206 +30,39 @@ pub enum RunBody {
 }
 
 /// Parses a `/run` body: a flat cell-spec object, or the batch form
-/// `{"cells":[<flat object>, …]}` (detected by its single `cells` key).
+/// `{"cells":[<flat object>, …]}` (detected by its single `cells` key
+/// holding an array).
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on any deviation from either grammar.
 pub fn parse_run_body(text: &str) -> Result<RunBody, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    p.expect(b'{')?;
-    p.skip_ws();
-    // Peek the first key: only `"cells":[` selects the batch form; any
-    // other shape re-parses from the top as a flat object.
-    if p.peek() == Some(b'"') {
-        if let Ok(key) = p.string() {
-            p.skip_ws();
-            if key == "cells" && p.peek() == Some(b':') {
-                p.pos += 1;
-                p.skip_ws();
-                if p.peek() == Some(b'[') {
-                    return parse_batch_tail(&mut p);
-                }
-            }
+    let mut pairs = json::parse(text)?;
+    if let [(key, Value::Array(cells))] = pairs.as_mut_slice() {
+        if key == "cells" {
+            return std::mem::take(cells)
+                .into_iter()
+                .map(|cell| match cell {
+                    Value::Object(pairs) => cell_spec(pairs),
+                    _ => Err("`cells` elements must be objects".into()),
+                })
+                .collect::<Result<_, _>>()
+                .map(RunBody::Batch);
         }
     }
-    parse_object(text).map(RunBody::Single)
+    cell_spec(pairs).map(RunBody::Single)
 }
 
-/// Parses `[{…}, …]}` after `{"cells":` and checks nothing trails.
-fn parse_batch_tail(p: &mut Parser<'_>) -> Result<RunBody, String> {
-    p.expect(b'[')?;
-    let mut cells = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            cells.push(p.flat_object()?);
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => {}
-                Some(b']') => break,
-                _ => return Err("expected `,` or `]` in cells array".into()),
-            }
+/// Checks that every value of a parsed object is a cell-spec scalar.
+fn cell_spec(pairs: Vec<(String, Value)>) -> Result<Vec<(String, Value)>, String> {
+    for (key, value) in &pairs {
+        match value {
+            Value::Str(_) | Value::Bool(_) => {}
+            Value::Int(_) if value.as_u64().is_some() => {}
+            _ => return Err(format!("`{key}` must be a string, non-negative integer or boolean")),
         }
     }
-    p.skip_ws();
-    p.expect(b'}')?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing bytes after object".into());
-    }
-    Ok(RunBody::Batch(cells))
-}
-
-/// Escapes a string for embedding in a hand-built JSON body.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            _ => Err(format!("expected `{}`", want as char)),
-        }
-    }
-
-    /// One flat `{...}` object starting at the current position.
-    fn flat_object(&mut self) -> Result<Vec<(String, Value)>, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(pairs);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.next() {
-                Some(b',') => {}
-                Some(b'}') => return Ok(pairs),
-                _ => return Err("expected `,` or `}` in object".into()),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    _ => return Err("unsupported string escape".into()),
-                },
-                Some(b) if b < 0x20 => return Err("control byte in string".into()),
-                Some(b) => {
-                    // Re-assemble UTF-8 sequences byte by byte.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or("invalid UTF-8 in string")?;
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err("truncated UTF-8 in string".into());
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'0'..=b'9') => {
-                let start = self.pos;
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-                    return Err("floats are not accepted".into());
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .map(Value::Int)
-                    .ok_or_else(|| "integer out of range".into())
-            }
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(Value::Bool(false))
-            }
-            _ => Err("expected a string, integer or boolean value".into()),
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
-    }
+    Ok(pairs)
 }
 
 #[cfg(test)]
@@ -298,7 +86,6 @@ mod tests {
         assert!(parse_object("{}").unwrap().is_empty());
         let pairs = parse_object(r#"{"a":"x\"y\\z\n"}"#).unwrap();
         assert_eq!(pairs[0].1, Value::Str("x\"y\\z\n".into()));
-        assert_eq!(escape("x\"y\\z\n\u{1}"), "x\\\"y\\\\z\\n\\u0001");
     }
 
     #[test]

@@ -63,6 +63,7 @@ use std::time::{Duration, Instant};
 
 use tdo_fault::Site;
 use tdo_metrics::{Counter, Gauge, Histogram, Registry};
+use tdo_obs::json::{escape, Value};
 use tdo_obs::span::{self, OpenSpan};
 use tdo_obs::{FlightKind, TraceCtx, TraceIdGen};
 use tdo_sim::{Cell, ExperimentSpec, PrefetchSetup, Runner, SimConfig, SimResult};
@@ -71,7 +72,7 @@ use tdo_workloads::{build, names, Scale};
 
 use admission::{Admission, Admit};
 use http::{read_request, write_response, write_response_typed, Request};
-use json::{escape, parse_run_body, RunBody, Value};
+use json::{parse_run_body, RunBody};
 use lru::Lru;
 
 /// Default listen address for `tdo serve`.
@@ -1120,7 +1121,7 @@ fn cell_from_pairs(pairs: Vec<(String, Value)>) -> Result<(Cell, PrefetchSetup),
                 };
             }
             "insts" => {
-                insts = Some(value.as_int().ok_or("`insts` must be an integer")?);
+                insts = Some(value.as_u64().ok_or("`insts` must be an integer")?);
             }
             other => return Err(format!("unknown key `{other}`")),
         }

@@ -10,6 +10,7 @@
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
+use tdo_obs::json::{self, Value};
 use tdo_rand::Rng;
 use tdo_server::client;
 use tdo_server::lru::Lru;
@@ -119,16 +120,10 @@ fn start_cfg(mut cfg: ServerConfig) -> (String, ServerHandle, JoinHandle<()>) {
     (addr.to_string(), handle, t)
 }
 
-/// Extracts an integer field from the `/metrics` JSON body.
+/// A top-level integer field of a `/metrics` or `/run` JSON body.
 fn counter(body: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    let at = body.find(&needle).unwrap_or_else(|| panic!("metric `{name}` in {body}"));
-    body[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("integer metric")
+    let fields = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    json::get(&fields, name).and_then(Value::as_u64).unwrap_or_else(|| panic!("`{name}` in {body}"))
 }
 
 /// A warm cache answers repeats without touching the store at all: after

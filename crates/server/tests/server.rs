@@ -5,6 +5,7 @@ use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use tdo_obs::json::{self, Value};
 use tdo_server::client::{self, Response};
 use tdo_server::{Server, ServerConfig, ServerHandle};
 
@@ -24,16 +25,10 @@ fn start_cfg(mut cfg: ServerConfig) -> (String, ServerHandle, JoinHandle<()>) {
     (addr.to_string(), handle, t)
 }
 
-/// Extracts an integer counter from a (flat or store-nested) metrics body.
+/// A top-level integer field of a `/metrics` or `/run` JSON body.
 fn counter(body: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    let at = body.find(&needle).unwrap_or_else(|| panic!("metric `{name}` in {body}"));
-    body[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("integer metric")
+    let fields = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    json::get(&fields, name).and_then(Value::as_u64).unwrap_or_else(|| panic!("`{name}` in {body}"))
 }
 
 fn metrics(addr: &str) -> String {

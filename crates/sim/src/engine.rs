@@ -487,7 +487,7 @@ impl Runner {
             return None;
         }
         let hit = store
-            .get(tdo_store::fnv1a64(key.as_bytes()), persist::SCHEMA_VERSION)
+            .get(tdo_rand::fnv1a64(key.as_bytes()), persist::SCHEMA_VERSION)
             .and_then(|payload| persist::decode_result(&payload));
         match hit {
             Some(result) => {
@@ -527,7 +527,7 @@ impl Runner {
         }
         let payload = persist::encode_result(result);
         if let Err(e) =
-            store.put(tdo_store::fnv1a64(key.as_bytes()), persist::SCHEMA_VERSION, &payload)
+            store.put(tdo_rand::fnv1a64(key.as_bytes()), persist::SCHEMA_VERSION, &payload)
         {
             tdo_obs::logline::log(
                 tdo_obs::Level::Warn,
@@ -666,7 +666,7 @@ impl Runner {
 /// Stable 64-bit key for fault-injection decisions: injected faults must hit
 /// the same cells regardless of worker count or scheduling order.
 fn fingerprint_hash(key: &str) -> u64 {
-    tdo_store::fnv1a64(key.as_bytes())
+    tdo_rand::fnv1a64(key.as_bytes())
 }
 
 #[cfg(test)]

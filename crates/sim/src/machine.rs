@@ -20,7 +20,10 @@ use std::collections::HashMap;
 use tdo_core::{Dlt, OptimizerConfig, PrefetchOptimizer, PreparedAction};
 use tdo_cpu::{CodeImage, Commit, CommitKind, Core, HelperJob};
 use tdo_mem::{ArmConfig, Hierarchy, LoadClass, Memory};
-use tdo_obs::{Event, HelperJobKind, QueueEventKind, Recorder, SharedProbe};
+use tdo_obs::{
+    Event, HelperJobKind, LedgerKind, LedgerRecord, QueueEventKind, Recorder, SharedLedger,
+    SharedProbe,
+};
 use tdo_trident::{HotEvent, PendingInstall, TraceId, Trident};
 use tdo_workloads::Workload;
 
@@ -282,9 +285,10 @@ pub struct Machine {
     /// Runtime arm-selection controller (policy setups only; locked
     /// policies install their arm at build time and need no controller).
     policy: Option<PolicyController>,
-    /// Arm-switch decision records; merged with the optimizer's repair
-    /// records into [`SimResult::ledger`].
-    ledger: tdo_core::DecisionLedger,
+    /// The machine's one decision ring, shared with the optimizer: repair
+    /// and arm-switch records both land here and become
+    /// [`SimResult::ledger`].
+    ledger: SharedLedger,
     /// Self-profiler; `None` (the default) is the zero-cost disabled
     /// path — every hook below is a single `Option` test.
     prof: Option<Box<MachineProfiler>>,
@@ -328,6 +332,9 @@ impl Machine {
             estimated_initial_distance: cfg.estimated_initial
                 || !matches!(cfg.sw_mode, tdo_core::SwPrefetchMode::SelfRepair),
         };
+        let ledger = SharedLedger::default();
+        let mut optimizer = PrefetchOptimizer::new(opt_cfg);
+        optimizer.set_ledger(ledger.clone());
         Machine {
             core: Core::new(cfg.cpu, workload.program.entry),
             code,
@@ -335,7 +342,7 @@ impl Machine {
             hier,
             trident: Trident::new(cfg.trident),
             dlt: Dlt::new(cfg.dlt),
-            optimizer: PrefetchOptimizer::new(opt_cfg),
+            optimizer,
             pc_map: PcMap::new(
                 workload.program.code_base,
                 workload.program.code.len(),
@@ -357,7 +364,7 @@ impl Machine {
             next_sample: cfg.sample_insts.max(1),
             sample_base: SampleBase::default(),
             policy,
-            ledger: tdo_core::DecisionLedger::new(),
+            ledger,
             prof: None,
             cfg,
         }
@@ -495,11 +502,6 @@ impl Machine {
         // Close out the live arm's counters so the per-kind aggregates in
         // `MemStats` cover every arm the run used.
         self.hier.fold_arm_stats();
-        // Merge the two decision streams into one trajectory. Each source
-        // ring is chronological, so a stable sort on cycle is a merge.
-        let mut ledger = self.optimizer.ledger.records();
-        ledger.extend(self.ledger.records());
-        ledger.sort_by_key(|r| r.cycle);
         let begin = warm_snapshot.unwrap_or_default();
         let end = self.snapshot();
         let (cycles, helper_active, helper_committed, window) =
@@ -515,7 +517,7 @@ impl Machine {
             mem: self.hier.stats,
             trident: self.trident.stats,
             optimizer: self.optimizer.stats,
-            ledger,
+            ledger: self.ledger.borrow().records(),
             halted: self.core.halted(),
         }
     }
@@ -604,8 +606,8 @@ impl Machine {
 
     /// Closes one policy epoch: computes the window's milli-IPC and
     /// milli-MPKI, feeds them to the controller, and applies any arm change
-    /// it decides (emitting [`Event::ArmSwitch`] with the triggering
-    /// window's metrics).
+    /// it decides (recording it, with the triggering window's metrics, in
+    /// the ledger).
     fn policy_epoch(&mut self) {
         let now = self.core.now();
         let misses = self.hier.stats.l1_misses();
@@ -628,9 +630,9 @@ impl Machine {
             decision.map(|(f, t, margin)| (f, t, margin, ctl.candidates[f], ctl.candidates[t]));
         if let Some((from_idx, to_idx, margin_milli, from, to)) = decision {
             self.hier.set_arm(&to);
-            self.ledger.push(tdo_core::LedgerRecord {
+            let record = LedgerRecord {
                 cycle: now,
-                kind: tdo_core::LedgerKind::ArmSwitch,
+                kind: LedgerKind::ArmSwitch,
                 group: 0,
                 pc: 0,
                 old: from_idx as u64,
@@ -639,16 +641,12 @@ impl Machine {
                 evidence_b: mpki_milli,
                 margin_milli,
                 epoch,
+            };
+            self.ledger.borrow_mut().record(record, &self.probe, |record| Event::ArmSwitch {
+                from: from.kind().map_or("none", tdo_mem::ArmKind::name),
+                to: to.kind().map_or("none", tdo_mem::ArmKind::name),
+                record,
             });
-            self.emit(
-                now,
-                Event::ArmSwitch {
-                    from: from.kind().map_or("none", tdo_mem::ArmKind::name),
-                    to: to.kind().map_or("none", tdo_mem::ArmKind::name),
-                    ipc_milli,
-                    mpki_milli,
-                },
-            );
         }
     }
 
@@ -818,9 +816,6 @@ impl Machine {
             HotEvent::HotTrace { head, bitmap, nbits } => {
                 if self.trident.linked_at(head).is_some() {
                     return;
-                }
-                if std::env::var_os("TDO_DEBUG").is_some() {
-                    eprintln!("[{now}] hot trace head={head:#x} bitmap={bitmap:#b} nbits={nbits}");
                 }
                 self.counters.hot_trace_events += 1;
                 let code = &self.code;

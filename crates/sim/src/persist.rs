@@ -16,6 +16,7 @@
 use tdo_core::OptimizerStats;
 use tdo_cpu::CpuStats;
 use tdo_mem::MemStats;
+use tdo_obs::{LedgerRecord, LEDGER_CAPACITY, LEDGER_RECORD_WORDS};
 use tdo_trident::TridentStats;
 
 use crate::engine::Cell;
@@ -36,7 +37,7 @@ const FIXED_WORDS: usize = 68;
 /// identically, so the hash is a sound content address.
 #[must_use]
 pub fn cell_key(cell: &Cell) -> u64 {
-    tdo_store::fnv1a64(cell.fingerprint().as_bytes())
+    tdo_rand::fnv1a64(cell.fingerprint().as_bytes())
 }
 
 /// Serializes a result into the integer record payload.
@@ -147,14 +148,14 @@ pub fn decode_result(words: &[u64]) -> Option<SimResult> {
         return None;
     }
     let ledger_len = usize::try_from(words[ledger_at]).ok()?;
-    if ledger_len > 2 * tdo_core::LEDGER_CAPACITY
-        || words.len() != ledger_at + 1 + ledger_len * tdo_core::LEDGER_RECORD_WORDS
+    if ledger_len > LEDGER_CAPACITY
+        || words.len() != ledger_at + 1 + ledger_len * LEDGER_RECORD_WORDS
     {
         return None;
     }
     let mut ledger = Vec::with_capacity(ledger_len);
-    for chunk in words[ledger_at + 1..].chunks_exact(tdo_core::LEDGER_RECORD_WORDS) {
-        ledger.push(tdo_core::LedgerRecord::decode(chunk)?);
+    for chunk in words[ledger_at + 1..].chunks_exact(LEDGER_RECORD_WORDS) {
+        ledger.push(LedgerRecord::decode(chunk)?);
     }
     let mut name_bytes = Vec::with_capacity(name_words * 8);
     for w in &words[1..1 + name_words] {
@@ -255,6 +256,7 @@ pub fn decode_result(words: &[u64]) -> Option<SimResult> {
 mod tests {
     use super::*;
     use crate::config::{PrefetchSetup, SimConfig};
+    use tdo_obs::LedgerKind;
     use tdo_workloads::Scale;
 
     fn sample() -> SimResult {
@@ -270,9 +272,9 @@ mod tests {
             trident: TridentStats::default(),
             optimizer: OptimizerStats::default(),
             ledger: vec![
-                tdo_core::LedgerRecord {
+                LedgerRecord {
                     cycle: 500,
-                    kind: tdo_core::LedgerKind::Repair,
+                    kind: LedgerKind::Repair,
                     group: 0x400,
                     pc: 0x408,
                     old: 2,
@@ -282,9 +284,9 @@ mod tests {
                     margin_milli: 20,
                     epoch: 9,
                 },
-                tdo_core::LedgerRecord {
+                LedgerRecord {
                     cycle: 900,
-                    kind: tdo_core::LedgerKind::ArmSwitch,
+                    kind: LedgerKind::ArmSwitch,
                     group: 0,
                     pc: 0,
                     old: 3,

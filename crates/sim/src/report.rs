@@ -15,6 +15,8 @@
 use std::fmt::Write as _;
 use std::str::FromStr;
 
+use tdo_obs::json::escape;
+
 /// Output format for a rendered [`Report`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Format {
@@ -213,39 +215,21 @@ impl Report {
         for row in &self.rows {
             let _ = write!(
                 out,
-                "{{\"table\":{},\"{}\":{}",
-                json_str(&self.slug),
+                "{{\"table\":\"{}\",\"{}\":\"{}\"",
+                escape(&self.slug),
                 self.key_header,
-                json_str(&row.key)
+                escape(&row.key)
             );
             if row.footer {
                 let _ = write!(out, ",\"footer\":true");
             }
             for (cell, (h, _)) in row.cells.iter().zip(&self.cols) {
-                let _ = write!(out, ",{}:{}", json_str(h), json_str(cell.trim()));
+                let _ = write!(out, ",\"{}\":\"{}\"", escape(h), escape(cell.trim()));
             }
             out.push_str("}\n");
         }
         out
     }
-}
-
-/// Minimal JSON string quoting (the report's content is plain ASCII).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -293,10 +277,5 @@ mod tests {
     fn format_parses() {
         assert_eq!("csv".parse::<Format>(), Ok(Format::Csv));
         assert!("yaml".parse::<Format>().is_err());
-    }
-
-    #[test]
-    fn json_escapes() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\u000a\"");
     }
 }

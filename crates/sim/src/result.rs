@@ -97,9 +97,9 @@ pub struct SimResult {
     /// Whole-run optimizer stats.
     pub optimizer: OptimizerStats,
     /// Decision-audit ledger: every distance repair and arm switch the run
-    /// performed, chronological (bounded by [`tdo_core::LEDGER_CAPACITY`]
-    /// per source ring).
-    pub ledger: Vec<tdo_core::LedgerRecord>,
+    /// performed, chronological (the machine's one ring, bounded by
+    /// [`tdo_obs::LEDGER_CAPACITY`]).
+    pub ledger: Vec<tdo_obs::LedgerRecord>,
     /// Whether the program halted before the instruction budget.
     pub halted: bool,
 }

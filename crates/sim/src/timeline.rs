@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use tdo_obs::Event;
+use tdo_obs::{Event, LedgerRecord};
 
 /// Convergence facts for one prefetch group, accumulated over the run.
 #[derive(Clone, Debug)]
@@ -21,9 +21,9 @@ pub struct GroupRow {
     /// Trace ids that carried the group over its lifetime.
     pub traces: Vec<u32>,
     /// Initial prefetch distance.
-    pub initial_distance: u8,
+    pub initial_distance: u64,
     /// Distance after the last repair decision.
-    pub final_distance: u8,
+    pub final_distance: u64,
     /// Times the group's prefetches were (re-)inserted.
     pub inserts: u64,
     /// Repair decisions run for the group (including holds).
@@ -121,8 +121,8 @@ impl Timeline {
                         group,
                         kind: kind.name(),
                         traces: Vec::new(),
-                        initial_distance: distance,
-                        final_distance: distance,
+                        initial_distance: u64::from(distance),
+                        final_distance: u64::from(distance),
                         inserts: 0,
                         repairs: 0,
                         distance_changes: 0,
@@ -135,7 +135,7 @@ impl Timeline {
                         row.traces.push(trace);
                     }
                 }
-                Event::DistanceRepaired { trace, group, old, new, .. } => {
+                Event::DistanceRepaired { trace, record: LedgerRecord { group, old, new, .. } } => {
                     let row = groups.entry(group).or_insert_with(|| GroupRow {
                         group,
                         kind: "stride",
@@ -175,7 +175,11 @@ impl Timeline {
                     l2_miss_milli,
                     pf_acc_milli,
                 }),
-                Event::ArmSwitch { from, to, ipc_milli, mpki_milli } => {
+                Event::ArmSwitch {
+                    from,
+                    to,
+                    record: LedgerRecord { evidence_a: ipc_milli, evidence_b: mpki_milli, .. },
+                } => {
                     out.arm_switches.push(ArmSwitchRow { cycle, from, to, ipc_milli, mpki_milli });
                 }
                 _ => {}
@@ -332,7 +336,23 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdo_obs::PrefetchGroupKind;
+    use tdo_obs::{LedgerKind, PrefetchGroupKind};
+
+    /// A decision record for group 0x2000 with the given values.
+    fn record(kind: LedgerKind, (old, new): (u64, u64), evidence: (u64, u64)) -> LedgerRecord {
+        LedgerRecord {
+            cycle: 0,
+            kind,
+            group: 0x2000,
+            pc: 0x2000,
+            old,
+            new,
+            evidence_a: evidence.0,
+            evidence_b: evidence.1,
+            margin_milli: 20,
+            epoch: 3,
+        }
+    }
 
     #[test]
     fn digest_tracks_convergence_and_backouts() {
@@ -351,22 +371,14 @@ mod tests {
                 500,
                 Event::DistanceRepaired {
                     trace: 1,
-                    group: 0x2000,
-                    pc: 0x2000,
-                    old: 1,
-                    new: 2,
-                    avg_latency_x100: 900,
+                    record: record(LedgerKind::Repair, (1, 2), (900, 0)),
                 },
             ),
             (
                 900,
                 Event::DistanceRepaired {
                     trace: 1,
-                    group: 0x2000,
-                    pc: 0x2000,
-                    old: 2,
-                    new: 2,
-                    avg_latency_x100: 880,
+                    record: record(LedgerKind::Repair, (2, 2), (880, 900)),
                 },
             ),
             (1200, Event::TraceBackedOut { trace: 1, head: 0x1000 }),
@@ -394,8 +406,7 @@ mod tests {
                 Event::ArmSwitch {
                     from: "stream",
                     to: "nextline",
-                    ipc_milli: 500,
-                    mpki_milli: 42_000,
+                    record: record(LedgerKind::ArmSwitch, (0, 1), (500, 42_000)),
                 },
             ),
             (
@@ -403,8 +414,7 @@ mod tests {
                 Event::ArmSwitch {
                     from: "nextline",
                     to: "stream",
-                    ipc_milli: 1200,
-                    mpki_milli: 3_000,
+                    record: record(LedgerKind::ArmSwitch, (1, 0), (1200, 3_000)),
                 },
             ),
             (5000, Event::LoadMatured { pc: 0x1000 }),

@@ -3,7 +3,7 @@
 //! counts, identical between a locked policy and its static arm, and in
 //! one-to-one correspondence with the counters it explains.
 
-use tdo_core::{ledger_digest, LedgerKind, LEDGER_CAPACITY};
+use tdo_obs::{ledger_digest, LedgerKind, LEDGER_CAPACITY};
 use tdo_sim::{
     policy_candidates, run, Cell, ExperimentSpec, PolicyConfig, PrefetchSetup, Runner, SimConfig,
 };

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod fnv;
 pub mod record;
 pub mod shard;
 
@@ -38,7 +37,6 @@ use std::time::Instant;
 use tdo_fault::Site;
 use tdo_metrics::{Counter, Histogram, HistogramSnapshot, Registry};
 
-pub use fnv::fnv1a64;
 pub use record::FORMAT_VERSION;
 pub use shard::{ShardMap, ShardedStore};
 

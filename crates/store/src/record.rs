@@ -17,7 +17,7 @@
 //! silently mis-frame a record: either the checksum at the claimed end
 //! matches (and the length was good) or the record is quarantined.
 
-use crate::fnv::{fnv1a64, Fnv1a};
+use tdo_rand::{fnv1a64, Fnv1a};
 
 /// Magic number opening the record log file.
 pub const LOG_MAGIC: u64 = 0x5444_4f53_544f_5231; // "TDOSTOR1"

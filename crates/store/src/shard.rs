@@ -16,29 +16,21 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tdo_metrics::Registry;
+use tdo_rand::{fnv1a64, mix64};
 
-use crate::fnv::fnv1a64;
 use crate::{Store, StoreStats};
-
-/// Finalizing avalanche over a raw hash (the splitmix64 mixer). FNV-1a on
-/// short, similar inputs barely stirs the high bits — the 64 points of one
-/// shard would otherwise land in a couple of narrow bands and wreck the
-/// ring balance — so every ring position passes through this first.
-fn spread(h: u64) -> u64 {
-    let mut z = h;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A consistent-hash ring mapping 64-bit keys to shard indices.
 ///
 /// The ring is built once from the shard count alone: shard `s` owns the
-/// points `spread(fnv1a64("shard-{s}/{r}"))` for replicas `r` in
+/// points `mix64(fnv1a64("shard-{s}/{r}"))` for replicas `r` in
 /// `0..POINTS_PER_SHARD`, and a key routes to the owner of the first ring
-/// point at or clockwise-after `spread(fnv1a64(key_bytes))`. Everything is
-/// a pure integer computation over stable hashes, so two
-/// `ShardMap::new(n)` instances are interchangeable.
+/// point at or clockwise-after `mix64(fnv1a64(key_bytes))`. FNV-1a on
+/// short, similar inputs barely stirs the high bits — the 64 points of one
+/// shard would otherwise land in a couple of narrow bands and wreck the
+/// ring balance — so every ring position passes through the SplitMix64
+/// finalizer first. Everything is a pure integer computation over stable
+/// hashes, so two `ShardMap::new(n)` instances are interchangeable.
 #[derive(Clone, Debug)]
 pub struct ShardMap {
     shards: usize,
@@ -63,7 +55,7 @@ impl ShardMap {
         let mut points = Vec::with_capacity(shards * Self::POINTS_PER_SHARD);
         for s in 0..shards {
             for r in 0..Self::POINTS_PER_SHARD {
-                let pos = spread(fnv1a64(format!("shard-{s}/{r}").as_bytes()));
+                let pos = mix64(fnv1a64(format!("shard-{s}/{r}").as_bytes()));
                 points.push((pos, s as u32));
             }
         }
@@ -83,7 +75,7 @@ impl ShardMap {
     /// The shard owning `key` — a pure function of `(key, self)`.
     #[must_use]
     pub fn shard_of(&self, key: u64) -> usize {
-        let pos = spread(fnv1a64(&key.to_le_bytes()));
+        let pos = mix64(fnv1a64(&key.to_le_bytes()));
         // First ring point at or after `pos`, wrapping to the start.
         let i = self.points.partition_point(|p| p.0 < pos);
         let (_, shard) = self.points[if i == self.points.len() { 0 } else { i }];

@@ -3,8 +3,8 @@
 
 use std::collections::BTreeMap;
 
-use tdo_rand::Rng;
-use tdo_store::{fnv1a64, ShardMap};
+use tdo_rand::{fnv1a64, Rng};
+use tdo_store::ShardMap;
 
 /// A seeded fingerprint population, as `Cell::fingerprint()` would produce
 /// (uniform 64-bit keys).

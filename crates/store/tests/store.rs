@@ -5,7 +5,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tdo_store::{fnv1a64, Store, FORMAT_VERSION};
+use tdo_rand::fnv1a64;
+use tdo_store::{Store, FORMAT_VERSION};
 
 /// A unique scratch directory per test, removed on drop.
 struct TestDir(PathBuf);
