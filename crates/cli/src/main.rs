@@ -22,6 +22,7 @@
 
 use std::io::{IsTerminal as _, Write as _};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use tdo_isa::{decode, INST_BYTES};
 use tdo_obs::json::{self, Value};
@@ -31,7 +32,7 @@ use tdo_sim::{
     policy_candidates, run_traced, Cell, ExperimentSpec, Format, Machine, PrefetchSetup, Report,
     Runner, SimConfig, SimResult, Timeline, SCHEMA_VERSION,
 };
-use tdo_store::Store;
+use tdo_store::{ShardedStore, Store};
 use tdo_trident::TraceOp;
 use tdo_workloads::{build, names, Scale, Workload};
 
@@ -97,6 +98,8 @@ fn usage_text() -> String {
          \x20 stats                     record/byte/hit counters\n\
          \x20 verify                    checksum every record in the log\n\
          \x20 gc                        drop stale-schema + shadowed records\n\
+         \x20 (a root holding shard-NNN/ directories, as `serve --shards`\n\
+         \x20 leaves it, is acted on shard by shard)\n\
          \nping options:\n\
          \x20 (default)                 GET /health\n\
          \x20 --metrics                 GET /metrics\n\
@@ -449,7 +452,7 @@ fn cmd_compare_arms(spec_arg: &str, o: &Opts) -> Result<ExitCode, String> {
     // earlier arm in the sweep order, deterministically.
     let mut wins: Vec<(PrefetchSetup, Vec<&str>)> = arms.iter().map(|&a| (a, Vec::new())).collect();
     for w in &workloads {
-        let results: Vec<std::sync::Arc<SimResult>> = arms
+        let results: Vec<Arc<SimResult>> = arms
             .iter()
             .map(|&arm| runner.run_cell(&Cell::new(*w, scale(o), cfg_for(arm))))
             .collect();
@@ -697,19 +700,52 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let dir = Store::resolve_dir(store_dir.as_deref());
-    let store =
-        Store::open(&dir).map_err(|e| format!("cannot open store `{}`: {e}", dir.display()))?;
+    let cannot_open = |e: std::io::Error| format!("cannot open store `{}`: {e}", dir.display());
+    // A root holding `shard-NNN/` directories (a `tdo serve --shards N`
+    // store) is acted on shard by shard; nothing is opened at the root.
+    let shards = shard_dirs(&dir)?;
+    let sharded =
+        (shards > 0).then(|| ShardedStore::open(&dir, shards)).transpose().map_err(cannot_open)?;
+    let stores: Vec<Arc<Store>> = match &sharded {
+        Some(ss) => (0..shards).map(|i| Arc::clone(ss.shard(i))).collect(),
+        None => vec![Arc::new(Store::open(&dir).map_err(cannot_open)?)],
+    };
     match action.as_str() {
         "stats" => {
-            let s = store.stats();
-            println!("store {}", dir.display());
+            let (s, sz) = match &sharded {
+                Some(ss) => {
+                    println!("store {} ({shards} shards)", dir.display());
+                    (ss.stats(), ss.size_stats())
+                }
+                None => {
+                    println!("store {}", dir.display());
+                    (stores[0].stats(), stores[0].size_stats())
+                }
+            };
             println!("  live records       {}", s.live_records);
             println!("  shadowed records   {}", s.shadowed_records);
             println!("  log bytes          {}", s.log_bytes);
             println!("  quarantine bytes   {}", s.quarantine_bytes);
             println!("  quarantined (run)  {}", s.quarantined);
             println!("  schema version     {SCHEMA_VERSION}");
-            let sz = store.size_stats();
+            if let Some(ss) = &sharded {
+                println!();
+                let mut rep = Report::new("shards")
+                    .key("shard", 12)
+                    .col("live", 9)
+                    .col("shadowed", 9)
+                    .col("log bytes", 12)
+                    .col("quarantined", 12);
+                let cells = |s: &tdo_store::StoreStats| {
+                    [s.live_records, s.shadowed_records, s.log_bytes, s.quarantined]
+                        .map(|v| v.to_string())
+                };
+                for (i, st) in ss.per_shard_stats().iter().enumerate() {
+                    rep.row(format!("shard-{i:03}"), cells(st));
+                }
+                rep.footer("total", cells(&s));
+                print!("{}", rep.render(Format::Table));
+            }
             if !sz.per_generation.is_empty() {
                 println!();
                 let mut rep = Report::new("generations")
@@ -741,31 +777,56 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "verify" => {
-            let report = store.verify().map_err(|e| format!("verify: {e}"))?;
-            println!(
-                "store {}: {} good, {} corrupt, {} trailing garbage bytes",
-                dir.display(),
-                report.good,
-                report.corrupt,
-                report.trailing_garbage_bytes
-            );
-            Ok(if report.is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+            let mut clean = true;
+            for store in &stores {
+                let report = store.verify().map_err(|e| format!("verify: {e}"))?;
+                println!(
+                    "store {}: {} good, {} corrupt, {} trailing garbage bytes",
+                    store.dir().display(),
+                    report.good,
+                    report.corrupt,
+                    report.trailing_garbage_bytes
+                );
+                clean &= report.is_clean();
+            }
+            Ok(if clean { ExitCode::SUCCESS } else { ExitCode::FAILURE })
         }
         "gc" => {
-            let report = store.gc(SCHEMA_VERSION).map_err(|e| format!("gc: {e}"))?;
-            println!(
-                "store {}: kept {}, dropped {} stale + {} shadowed, {} -> {} bytes",
-                dir.display(),
-                report.kept,
-                report.dropped_stale,
-                report.dropped_shadowed,
-                report.bytes_before,
-                report.bytes_after
-            );
+            for store in &stores {
+                let report = store.gc(SCHEMA_VERSION).map_err(|e| format!("gc: {e}"))?;
+                println!(
+                    "store {}: kept {}, dropped {} stale + {} shadowed, {} -> {} bytes",
+                    store.dir().display(),
+                    report.kept,
+                    report.dropped_stale,
+                    report.dropped_shadowed,
+                    report.bytes_before,
+                    report.bytes_after
+                );
+            }
             Ok(ExitCode::SUCCESS)
         }
         _ => unreachable!("action validated above"),
     }
+}
+
+/// How many `shard-NNN/` directories `root` holds (0 = an unsharded store
+/// or no store yet). They must be numbered `shard-000` onwards without
+/// gaps, as `tdo serve --shards N` lays them out.
+fn shard_dirs(root: &std::path::Path) -> Result<usize, String> {
+    let Ok(entries) = std::fs::read_dir(root) else { return Ok(0) };
+    let n = entries
+        .filter_map(Result::ok)
+        .filter(|e| e.path().is_dir() && e.file_name().to_string_lossy().starts_with("shard-"))
+        .count();
+    if (0..n).any(|i| !root.join(format!("shard-{i:03}")).is_dir()) {
+        return Err(format!(
+            "store root `{}` holds {n} shard directories, not shard-000..shard-{:03}",
+            root.display(),
+            n - 1
+        ));
+    }
+    Ok(n)
 }
 
 /// `tdo ping <addr>`: the in-repo HTTP client (CI has no curl).

@@ -265,3 +265,53 @@ fn store_maintenance_actions_on_an_empty_store() {
         String::from_utf8_lossy(&bad.stderr)
     );
 }
+
+#[test]
+fn store_maintenance_acts_on_every_shard_of_a_sharded_root() {
+    let dir = TestDir::new("sharded-store");
+    {
+        let store = tdo_store::ShardedStore::open(&dir.0, 4).expect("open sharded store");
+        for key in 0..12u64 {
+            store.put(key, tdo_sim::SCHEMA_VERSION, &[key, key + 1]).expect("put");
+        }
+    }
+    let sum_of = |text: &str, field: &str| -> u64 {
+        text.lines()
+            .filter_map(|l| l.split(field).next()?.rsplit(' ').next()?.parse::<u64>().ok())
+            .sum()
+    };
+
+    let stats = ok(&["store", "stats", "--store-dir", &dir.path()]);
+    assert!(stats.contains("(4 shards)"), "{stats}");
+    assert!(stats.contains("live records       12"), "{stats}");
+    for shard in ["shard-000", "shard-001", "shard-002", "shard-003"] {
+        assert!(stats.lines().any(|l| l.starts_with(shard)), "{shard} listed: {stats}");
+    }
+    let total = stats.lines().find(|l| l.starts_with("total")).expect("total row");
+    assert_eq!(total.split_whitespace().nth(1), Some("12"), "{stats}");
+
+    let verify = ok(&["store", "verify", "--store-dir", &dir.path()]);
+    assert_eq!(verify.lines().count(), 4, "one line per shard: {verify}");
+    assert_eq!(sum_of(&verify, " good"), 12, "{verify}");
+
+    let gc = ok(&["store", "gc", "--store-dir", &dir.path()]);
+    assert_eq!(gc.lines().count(), 4, "one line per shard: {gc}");
+    assert_eq!(sum_of(&gc, ", dropped"), 12, "{gc}");
+
+    for stray in ["records.log", "index.bin"] {
+        assert!(!dir.0.join(stray).exists(), "nothing is created at the root: {stray}");
+    }
+
+    // One damaged shard fails the whole verify.
+    let log = (0..4)
+        .map(|s| dir.0.join(format!("shard-{s:03}/records.log")))
+        .max_by_key(|p| fs::metadata(p).map(|m| m.len()).unwrap_or(0))
+        .expect("a shard log");
+    let mut bytes = fs::read(&log).expect("read shard log");
+    let last = bytes.len() - 2;
+    bytes[last] ^= 0xff;
+    fs::write(&log, bytes).expect("damage shard log");
+    let damaged = tdo(&["store", "verify", "--store-dir", &dir.path()]);
+    assert!(!damaged.status.success(), "{}", stdout_of(&damaged));
+    assert!(stdout_of(&damaged).contains("1 corrupt"), "{}", stdout_of(&damaged));
+}

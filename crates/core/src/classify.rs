@@ -77,14 +77,6 @@ pub struct ObjectGroup {
     pub pointer_base: bool,
 }
 
-impl ObjectGroup {
-    /// Whether any member is delinquent.
-    #[must_use]
-    pub fn has_delinquent(&self, loads: &[LoadInfo]) -> bool {
-        self.members.iter().any(|&m| loads[m].delinquent)
-    }
-}
-
 /// Result of analyzing one trace.
 #[derive(Clone, Debug, Default)]
 pub struct Classification {

@@ -237,14 +237,6 @@ impl PrefetchOptimizer {
         }
     }
 
-    /// The repair state for the group covering `orig_pc` in the trace headed
-    /// at `head` (test/inspection aid).
-    #[must_use]
-    pub fn group_state(&self, head: u64, orig_pc: u64) -> Option<&GroupState> {
-        let rep = self.member_to_rep.get(&(head, orig_pc)).copied().unwrap_or(orig_pc);
-        self.states.get(&(head, rep))
-    }
-
     /// Whether the load at `orig_pc` (in the trace headed at `head`) is
     /// covered by an inserted prefetch group — the Figure 4 "potentially
     /// software prefetched" criterion.

@@ -23,16 +23,6 @@ pub struct CpuStats {
 }
 
 impl CpuStats {
-    /// Raw main-thread IPC (committed instructions / cycles).
-    #[must_use]
-    pub fn main_ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.main_committed as f64 / self.cycles as f64
-        }
-    }
-
     /// Fraction of cycles the helper was active (Figure 3).
     #[must_use]
     pub fn helper_active_fraction(&self) -> f64 {

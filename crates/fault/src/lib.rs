@@ -162,15 +162,6 @@ impl FaultPlan {
         self.modes[site.idx()] = Mode::At { nth };
         self
     }
-
-    /// Fires every site in `sites` with probability `per_mille`/1000.
-    #[must_use]
-    pub fn with_prob_all(mut self, sites: &[Site], per_mille: u16) -> FaultPlan {
-        for &site in sites {
-            self = self.with_prob(site, per_mille);
-        }
-        self
-    }
 }
 
 /// Coverage of one site while the plane was armed.

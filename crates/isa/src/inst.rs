@@ -353,12 +353,6 @@ impl Inst {
         matches!(self, Inst::Load { .. })
     }
 
-    /// Whether this instruction writes data memory.
-    #[must_use]
-    pub fn is_store(&self) -> bool {
-        matches!(self, Inst::Store { .. })
-    }
-
     /// Whether this is any control transfer (branch, jump, or halt).
     #[must_use]
     pub fn is_control(&self) -> bool {

@@ -22,13 +22,6 @@ impl DataSegment {
         }
         DataSegment { base, bytes }
     }
-
-    /// Builds a segment of little-endian `f64` values.
-    #[must_use]
-    pub fn from_f64s(base: u64, values: &[f64]) -> DataSegment {
-        let words: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-        DataSegment::from_words(base, &words)
-    }
 }
 
 /// A complete executable image produced by a workload builder.
@@ -96,8 +89,5 @@ mod tests {
         let s = DataSegment::from_words(0, &[0x0102_0304_0506_0708]);
         assert_eq!(s.bytes[0], 0x08);
         assert_eq!(s.bytes[7], 0x01);
-        let f = DataSegment::from_f64s(0, &[1.0]);
-        assert_eq!(f.bytes.len(), 8);
-        assert_eq!(f64::from_bits(u64::from_le_bytes(f.bytes[..8].try_into().unwrap())), 1.0);
     }
 }

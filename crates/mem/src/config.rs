@@ -113,13 +113,6 @@ impl MemConfig {
             next_line: false,
         }
     }
-
-    /// The latency a load pays when it misses all the way to memory (with an
-    /// idle bus). Half of this is the paper's delinquency latency threshold.
-    #[must_use]
-    pub fn l2_miss_latency(&self) -> u64 {
-        self.mem_latency
-    }
 }
 
 #[cfg(test)]

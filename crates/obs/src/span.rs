@@ -539,12 +539,6 @@ pub struct OpenSpan {
 }
 
 impl OpenSpan {
-    /// The span's id (what child spans see as their parent).
-    #[must_use]
-    pub fn span_id(&self) -> u64 {
-        self.span
-    }
-
     /// Records the span-end event and restores the parent as the current
     /// span on this thread.
     pub fn end(self, arg: u64) {

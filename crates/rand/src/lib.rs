@@ -63,11 +63,6 @@ impl Rng {
         result
     }
 
-    /// The next 32 uniformly random bits (upper half of the 64-bit output).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value in `[range.start, range.end)`, unbiased via rejection.
     ///
     /// # Panics

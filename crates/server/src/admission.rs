@@ -1,14 +1,17 @@
 //! Admission control for the `/run` queue.
 //!
 //! Two inputs drive the admit/shed decision, both already produced
-//! elsewhere in the server: the live queue-depth gauge, and the health
+//! elsewhere in the server: the run queue's length, and the health
 //! watchdog. In normal operation a request is admitted while the queue
 //! has room (the classic bound). When any watchdog rule trips, the
 //! controller enters a *degraded window* for [`DEGRADE_TICKS`] health
 //! ticks in which only half the queue is admissible — the tier sheds
 //! earlier and harder while the condition that tripped the watchdog
 //! (SLO burn, queue growth, shed spike, arm-switch storm) plays out,
-//! instead of letting the backlog and latency compound.
+//! instead of letting the backlog and latency compound. Ticks come from
+//! the `tdo_server_uptime_ticks` gauge, which the server's health thread
+//! advances every 100 ms whether or not the accept thread is busy, so the
+//! window lasts about 5 s.
 //!
 //! The decision itself is a pure function of
 //! `(queue_len, queue_cap, now_tick, degraded_until_tick)`, kept free of
@@ -16,7 +19,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Health ticks a watchdog trip keeps admission tightened.
+/// Health ticks (100 ms each) a watchdog trip keeps admission tightened.
 pub const DEGRADE_TICKS: u64 = 50;
 
 /// The admit/shed decision for one `/run` request.

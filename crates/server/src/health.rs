@@ -1,7 +1,12 @@
 //! The continuous health plane: periodic sampling of the server's metrics
-//! registry into a retained [`Series`] ring, the `GET /metrics/history`
+//! registry into a bounded history of rows, the `GET /metrics/history`
 //! JSONL rendering, and the SLO/anomaly watchdog that turns sustained bad
 //! windows into flight-recorder dumps.
+//!
+//! **Clock.** The server's `tdo-health` thread calls [`HealthPlane::tick`]
+//! every 100 ms, whatever the accept loop is doing. The tick count lives
+//! only in the `tdo_server_uptime_ticks` gauge: it stamps history rows and
+//! times the watchdog cooldowns and admission's degraded window.
 //!
 //! **Sampling model.** The column schema is captured once at bind time —
 //! every registered counter/gauge/histogram whose series name passes
@@ -13,10 +18,18 @@
 //! recorder's own counters, the uptime tick), so two scrapes of an idle
 //! server return identical bytes.
 //!
-//! **Watchdog.** Each background tick converts the retained window into
-//! per-row deltas ([`WatchRow`]) and evaluates four rules; a tripped rule
-//! bumps `tdo_watchdog_trips_total{rule}` and fires the flight-dump path
-//! with reason `slo_burn` (the SLO rule) or `anomaly` (everything else).
+//! **One lock.** Two threads sample: the ticker, and the accept thread's
+//! pre-sample for a history scrape. One mutex guards the retained rows,
+//! the watchdog's window and the watchdog; a sample is taken, compared and
+//! appended under it, so rows stay in sample order.
+//!
+//! **Watchdog.** Every appended row after the first also appends one
+//! [`WatchRow`] — five column deltas against the previous row — to the
+//! watchdog's window of the last `LONG_WINDOW` rows, so a tick costs the
+//! same however much history is retained. Each tick evaluates four rules
+//! over that window; a tripped rule bumps `tdo_watchdog_trips_total{rule}`
+//! and fires the flight-dump path with reason `slo_burn` (the SLO rule) or
+//! `anomaly` (everything else).
 //!
 //! | rule | trigger |
 //! |---|---|
@@ -25,18 +38,19 @@
 //! | `shed_rate` | ≥3 requests shed inside the short window |
 //! | `arm_switch_storm` | ≥8 policy arm switches inside the short window |
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
-use tdo_metrics::series::{ColKind, Column, Series, SERIES_SCHEMA_VERSION};
+use tdo_metrics::series::{ColKind, Column, SERIES_SCHEMA_VERSION};
 use tdo_metrics::{Gauge, Histogram, Registry};
 use tdo_obs::json::escape;
 
 use crate::relock;
 
-/// Retained history rows; at the default ~100 ms cadence this is ~25 s of
-/// change-bearing samples (idle periods append nothing).
+/// Retained history rows. A 100 ms tick appends at most one row (none
+/// when nothing changed), so unless history scrapes add rows between
+/// ticks they span at least the last 25.6 s. A 4-shard daemon samples 699
+/// columns: ~1.4 MB at full history.
 pub const HISTORY_CAPACITY: usize = 256;
 
 /// Every `rule` label on `tdo_watchdog_trips_total`.
@@ -157,18 +171,23 @@ struct WatchColumns {
     arm_switches: Option<usize>,
 }
 
-/// The sampler + retained series + watchdog, owned by the server state.
-/// Single-writer: only the accept thread samples (background tick and
-/// history-scrape pre-sample both run there).
+/// Everything behind the plane's one lock.
+struct Retained {
+    /// `(tick, values)` rows, oldest first, at most [`HISTORY_CAPACITY`];
+    /// the newest row is the last sample.
+    rows: VecDeque<(u64, Vec<u64>)>,
+    /// The watchdog's inputs, one per appended row after the first; the
+    /// last `LONG_WINDOW` are kept.
+    window: VecDeque<WatchRow>,
+    watchdog: Watchdog,
+}
+
+/// The sampler, retained rows and watchdog, owned by the server state.
 pub struct HealthPlane {
-    series: Series,
     columns: Vec<Column>,
     index: HashMap<String, usize>,
-    kinds: Vec<ColKind>,
-    ticks: AtomicU64,
-    last: Mutex<Option<Vec<u64>>>,
-    watchdog: Mutex<Watchdog>,
     watch: WatchColumns,
+    retained: Mutex<Retained>,
 }
 
 impl HealthPlane {
@@ -180,7 +199,6 @@ impl HealthPlane {
             reg.sample_columns(&|name| sampled(name)).into_iter().map(|(c, _)| c).collect();
         let index: HashMap<String, usize> =
             columns.iter().enumerate().map(|(i, c)| (c.name.clone(), i)).collect();
-        let kinds: Vec<ColKind> = columns.iter().map(|c| c.kind).collect();
         let run_lat = "tdo_server_request_latency_us{endpoint=\"run\"}";
         let col = |name: &str| index.get(name).copied();
         let watch = WatchColumns {
@@ -192,28 +210,36 @@ impl HealthPlane {
             shed: col("tdo_server_shed_total"),
             arm_switches: col("tdo_arm_switches_total"),
         };
-        HealthPlane {
-            series: Series::new(HISTORY_CAPACITY, columns.len()),
-            columns,
-            index,
-            kinds,
-            ticks: AtomicU64::new(0),
-            last: Mutex::new(None),
-            watchdog: Mutex::new(Watchdog::new(queue_cap)),
-            watch,
-        }
-    }
-
-    /// Background ticks so far (the logical timestamp of history rows).
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
+        let retained = Mutex::new(Retained {
+            rows: VecDeque::with_capacity(HISTORY_CAPACITY),
+            window: VecDeque::with_capacity(LONG_WINDOW),
+            watchdog: Watchdog::new(queue_cap),
+        });
+        HealthPlane { columns, index, watch, retained }
     }
 
     /// Samples the registry and appends a row stamped with the current
-    /// tick — only if some sampled value changed since the last row.
-    /// Accept-thread only (single writer).
-    pub fn sample(&self, reg: &Registry) {
+    /// `uptime` tick — only if some sampled value changed since the last
+    /// row.
+    pub fn sample(&self, reg: &Registry, uptime: &Gauge) {
+        let mut retained = relock(&self.retained);
+        self.append(&mut retained, reg, uptime.get());
+    }
+
+    /// One background tick: advance `uptime`, sample, and run the watchdog
+    /// over its window. Returns the tripped rules.
+    pub fn tick(&self, reg: &Registry, uptime: &Gauge) -> Vec<&'static str> {
+        let mut retained = relock(&self.retained);
+        let tick = uptime.get() + 1;
+        uptime.set(tick);
+        self.append(&mut retained, reg, tick);
+        let Retained { window, watchdog, .. } = &mut *retained;
+        watchdog.evaluate(tick, window.make_contiguous())
+    }
+
+    /// Samples under the lock; appends the row (and its watchdog delta)
+    /// unless nothing changed.
+    fn append(&self, retained: &mut Retained, reg: &Registry, tick: u64) {
         let mut values = vec![0u64; self.columns.len()];
         for (col, v) in reg.sample_columns(&|name| sampled(name)) {
             // Instruments registered after bind (e.g. lazily-created fault
@@ -223,50 +249,43 @@ impl HealthPlane {
                 values[i] = v;
             }
         }
-        let mut last = relock(&self.last);
-        if last.as_ref() == Some(&values) {
-            return;
+        if let Some((_, prev)) = retained.rows.back() {
+            if *prev == values {
+                return;
+            }
+            let row = self.watch_row(prev, &values);
+            if retained.window.len() == LONG_WINDOW {
+                retained.window.pop_front();
+            }
+            retained.window.push_back(row);
         }
-        self.series.push(self.ticks(), &values);
-        *last = Some(values);
+        if retained.rows.len() == HISTORY_CAPACITY {
+            retained.rows.pop_front();
+        }
+        retained.rows.push_back((tick, values));
     }
 
-    /// One background tick: advance the clock, refresh the uptime gauge,
-    /// sample, and run the watchdog over the retained window. Returns the
-    /// tripped rules.
-    pub fn tick(&self, reg: &Registry, uptime: &Gauge) -> Vec<&'static str> {
-        let tick = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-        uptime.set(tick);
-        self.sample(reg);
-        let rows = self.watch_rows();
-        relock(&self.watchdog).evaluate(tick, &rows)
-    }
-
-    /// The retained window as watchdog delta rows, oldest first.
-    fn watch_rows(&self) -> Vec<WatchRow> {
-        let snap = self.series.snapshot();
-        let deltas = snap.deltas(&self.kinds);
-        let get = |row: &tdo_metrics::series::SeriesRow, col: Option<usize>| {
-            col.map_or(0, |i| row.values[i])
-        };
-        deltas
-            .iter()
-            .map(|row| {
-                let count = get(row, self.watch.run_count);
-                let within = get(row, self.watch.run_slo_bucket);
-                WatchRow {
-                    run_count: count,
-                    run_slow: if self.watch.run_slo_bucket.is_some() {
-                        count.saturating_sub(within)
-                    } else {
-                        0
-                    },
-                    queue_depth: get(row, self.watch.queue_depth),
-                    shed: get(row, self.watch.shed),
-                    arm_switches: get(row, self.watch.arm_switches),
-                }
+    /// The watchdog's delta row between two consecutive retained rows:
+    /// counters as increments (a reset reads as 0), gauges as the later
+    /// level.
+    fn watch_row(&self, prev: &[u64], cur: &[u64]) -> WatchRow {
+        let delta = |col: Option<usize>| {
+            col.map_or(0, |i| match self.columns[i].kind {
+                ColKind::Counter => cur[i].saturating_sub(prev[i]),
+                ColKind::Gauge => cur[i],
             })
-            .collect()
+        };
+        let run_count = delta(self.watch.run_count);
+        WatchRow {
+            run_count,
+            run_slow: self
+                .watch
+                .run_slo_bucket
+                .map_or(0, |b| run_count.saturating_sub(delta(Some(b)))),
+            queue_depth: delta(self.watch.queue_depth),
+            shed: delta(self.watch.shed),
+            arm_switches: delta(self.watch.arm_switches),
+        }
     }
 
     /// Renders the last `window` rows (0 = everything retained) as JSONL:
@@ -274,11 +293,12 @@ impl HealthPlane {
     /// the raw sampled values (clients difference counters themselves).
     #[must_use]
     pub fn render_history(&self, window: usize) -> String {
-        let snap = self.series.snapshot().window(window);
-        let mut out = String::with_capacity(256 + snap.rows.len() * (self.columns.len() * 8 + 32));
+        let retained = relock(&self.retained);
+        let n = retained.rows.len();
+        let keep = if window == 0 { n } else { window.min(n) };
+        let mut out = String::with_capacity(256 + keep * (self.columns.len() * 8 + 32));
         out.push_str(&format!(
-            "{{\"series_schema\":{SERIES_SCHEMA_VERSION},\"rows\":{},\"columns\":[",
-            snap.rows.len()
+            "{{\"series_schema\":{SERIES_SCHEMA_VERSION},\"rows\":{keep},\"columns\":["
         ));
         for (i, c) in self.columns.iter().enumerate() {
             if i > 0 {
@@ -287,19 +307,19 @@ impl HealthPlane {
             out.push_str(&format!("\"{}\"", escape(&c.name)));
         }
         out.push_str("],\"kinds\":[");
-        for (i, k) in self.kinds.iter().enumerate() {
+        for (i, c) in self.columns.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(match k {
+            out.push_str(match c.kind {
                 ColKind::Counter => "\"counter\"",
                 ColKind::Gauge => "\"gauge\"",
             });
         }
         out.push_str("]}\n");
-        for row in &snap.rows {
-            out.push_str(&format!("{{\"tick\":{},\"values\":[", row.tick));
-            for (i, v) in row.values.iter().enumerate() {
+        for (tick, values) in retained.rows.range(n - keep..) {
+            out.push_str(&format!("{{\"tick\":{tick},\"values\":["));
+            for (i, v) in values.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -313,7 +333,140 @@ impl HealthPlane {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use tdo_obs::json::{self, Value};
+    use tdo_rand::Rng;
+
     use super::*;
+
+    /// Parses `render_history(0)` back into the schema and the
+    /// `(tick, values)` rows, oldest first.
+    fn history(plane: &HealthPlane) -> (Vec<Column>, Vec<(u64, Vec<u64>)>) {
+        let text = plane.render_history(0);
+        let mut lines = text.lines();
+        let header = json::parse(lines.next().expect("header")).expect("header parses");
+        let strings = |key| -> Vec<String> {
+            let items = json::get(&header, key).and_then(Value::as_array).expect(key);
+            items.iter().map(|v| v.as_str().expect("string").to_string()).collect()
+        };
+        let kinds = strings("kinds").into_iter().map(|k| match k.as_str() {
+            "gauge" => ColKind::Gauge,
+            _ => ColKind::Counter,
+        });
+        let columns =
+            strings("columns").into_iter().zip(kinds).map(|(name, kind)| Column { name, kind });
+        let rows = lines
+            .map(|line| {
+                let row = json::parse(line).expect("row parses");
+                let tick = json::get(&row, "tick").and_then(Value::as_u64).expect("tick");
+                let values = json::get(&row, "values").and_then(Value::as_array).expect("values");
+                (tick, values.iter().map(|v| v.as_u64().expect("integer")).collect())
+            })
+            .collect();
+        (columns.collect(), rows)
+    }
+
+    #[test]
+    fn ring_retains_the_last_capacity_rows_in_order() {
+        let reg = Registry::new();
+        let events = reg.counter("tdo_test_events_total", &[], "Events.");
+        let uptime = Gauge::new();
+        let plane = HealthPlane::new(&reg, 0, 16);
+        let n = HISTORY_CAPACITY as u64 + 4;
+        for _ in 0..n {
+            events.inc();
+            plane.tick(&reg, &uptime);
+        }
+        plane.tick(&reg, &uptime); // unchanged: appends nothing
+        let (_, rows) = history(&plane);
+        assert_eq!(rows.len(), HISTORY_CAPACITY);
+        assert_eq!(rows[0], (5, vec![5]), "the oldest four rows were evicted");
+        assert_eq!(rows.last(), Some(&(n, vec![n])));
+        assert!(rows.windows(2).all(|w| w[0].0 + 1 == w[1].0), "oldest first, no gaps");
+        let narrow = plane.render_history(2);
+        assert_eq!(narrow.lines().count(), 3, "header + two rows");
+        assert_eq!(
+            narrow.lines().nth(1),
+            Some(format!("{{\"tick\":{0},\"values\":[{0}]}}", n - 1).as_str())
+        );
+        assert_eq!(plane.render_history(0), plane.render_history(2 * HISTORY_CAPACITY));
+    }
+
+    /// The watchdog rows a full recompute over the rendered history gives
+    /// (what every tick computed before the window was kept incrementally).
+    fn recomputed_window(plane: &HealthPlane, slo_bucket: usize) -> Vec<WatchRow> {
+        let (columns, rows) = history(plane);
+        let run = "tdo_server_request_latency_us{endpoint=\"run\"}";
+        let at = |name: &str| columns.iter().position(|c| c.name == name).expect(name);
+        let (count, within) = (at(&format!("{run}#count")), at(&format!("{run}#b{slo_bucket}")));
+        let (queue, shed, switches) = (
+            at("tdo_server_queue_depth"),
+            at("tdo_server_shed_total"),
+            at("tdo_arm_switches_total"),
+        );
+        rows.windows(2)
+            .map(|w| {
+                let delta = |i: usize| match columns[i].kind {
+                    ColKind::Counter => w[1].1[i].saturating_sub(w[0].1[i]),
+                    ColKind::Gauge => w[1].1[i],
+                };
+                WatchRow {
+                    run_count: delta(count),
+                    run_slow: delta(count).saturating_sub(delta(within)),
+                    queue_depth: delta(queue),
+                    shed: delta(shed),
+                    arm_switches: delta(switches),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn watchdog_window_trips_as_a_full_recompute_over_the_ring_does() {
+        let reg = Registry::new();
+        let run_lat = reg.histogram("tdo_server_request_latency_us", &[("endpoint", "run")], "L.");
+        let queue = reg.gauge("tdo_server_queue_depth", &[], "Depth.");
+        let shed = reg.counter("tdo_server_shed_total", &[], "Shed.");
+        let switches = reg.counter("tdo_arm_switches_total", &[], "Switches.");
+        let unwatched = reg.counter("tdo_test_events_total", &[], "Events.");
+        let (slo_us, queue_cap) = (1_000, 8);
+        let slo_bucket = Histogram::bucket_index(slo_us);
+        let plane = HealthPlane::new(&reg, slo_us, queue_cap);
+        let mut reference = Watchdog::new(queue_cap);
+        let uptime = Gauge::new();
+        let mut rng = Rng::new(0x5eed);
+        let mut tripped = BTreeSet::new();
+        for step in 0..400u64 {
+            // Rotating 40-tick phases, each leaning on one rule; a quarter
+            // of the ticks change nothing, and a fifth of the others
+            // pre-sample as a history scrape does.
+            let phase = (step / 40) % 4;
+            if rng.gen_index(4) > 0 {
+                for _ in 0..rng.gen_index(4) {
+                    let slow = rng.gen_bool(if phase == 1 { 0.9 } else { 0.05 });
+                    run_lat.observe(if slow { 50_000 } else { 100 });
+                }
+                if rng.gen_bool(0.2) {
+                    plane.sample(&reg, &uptime);
+                }
+                let depth = if phase == 2 { 6 + rng.gen_index(3) } else { rng.gen_index(5) };
+                queue.set(depth as u64);
+                shed.add(if phase == 0 { rng.gen_index(2) as u64 } else { 0 });
+                switches.add(if phase == 3 { rng.gen_index(4) as u64 } else { 0 });
+                unwatched.add(u64::from(rng.gen_bool(0.3)));
+            }
+            let trips = plane.tick(&reg, &uptime);
+            let expected = reference.evaluate(uptime.get(), &recomputed_window(&plane, slo_bucket));
+            assert_eq!(trips, expected, "tick {}", uptime.get());
+            tripped.extend(trips);
+        }
+        let (_, rows) = history(&plane);
+        assert_eq!(rows.len(), HISTORY_CAPACITY);
+        assert!(rows[0].0 > 1, "the ring wrapped: the oldest rows were evicted");
+        assert_eq!(relock(&plane.retained).window.len(), LONG_WINDOW, "the window is bounded");
+        assert_eq!(tripped.len(), WATCHDOG_RULES.len(), "every rule tripped: {tripped:?}");
+    }
 
     #[test]
     fn slo_burn_needs_both_windows_over_threshold() {

@@ -13,8 +13,9 @@
 //! request with an explicit `503` instead of letting latency collapse.
 //! Identical cells requested concurrently are *single-flighted*: the first
 //! request simulates, the rest wait on the same flight and share the one
-//! result. `SIGINT`/ctrl-C (or `POST /shutdown`) stops accepting, drains
-//! the queue, finishes in-flight simulations and exits cleanly.
+//! result. A `tdo-health` thread ticks the [`health`] plane every 100 ms.
+//! `SIGINT`/ctrl-C (or `POST /shutdown`) stops accepting, drains the
+//! queue, finishes in-flight simulations and exits cleanly.
 //!
 //! | Endpoint | Served by | Behaviour |
 //! |---|---|---|
@@ -114,9 +115,6 @@ pub struct ServerConfig {
     pub store_dir: Option<String>,
     /// Run without a persistent store (memo cache only).
     pub no_store: bool,
-    /// Seed for the per-connection trace-id stream (ids are echoed back as
-    /// `X-Tdo-Trace` and stamp every flight-recorder event).
-    pub trace_seed: u64,
     /// `/run` latency SLO in whole microseconds; a slower request triggers
     /// a flight-recorder dump. `0` disables the trigger.
     pub slo_us: u64,
@@ -138,7 +136,6 @@ impl Default for ServerConfig {
             queue_cap: 16,
             store_dir: None,
             no_store: false,
-            trace_seed: 0x7d0_5eed,
             slo_us: 0,
             flight_dir: None,
             shards: 1,
@@ -147,12 +144,20 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued `/run` request: the connection, its already-read body, the
-/// instant the request was read (latency includes queue wait), and the
-/// trace context + open spans the worker resumes on its side of the queue.
+/// Seed for the per-connection trace-id stream (ids are echoed back as
+/// `X-Tdo-Trace` and stamp every flight-recorder event).
+const TRACE_SEED: u64 = 0x7d0_5eed;
+
+/// Interval between health ticks on the `tdo-health` thread.
+const HEALTH_TICK: Duration = Duration::from_millis(100);
+
+/// One queued `/run` request: the connection, the plan the accept thread
+/// parsed from its body, the instant the request was read (latency
+/// includes queue wait), and the trace context + open spans the worker
+/// resumes on its side of the queue.
 struct Job {
     stream: TcpStream,
-    body: String,
+    plan: RunPlan,
     t0: Instant,
     ctx: TraceCtx,
     queue_span: OpenSpan,
@@ -400,6 +405,9 @@ struct State {
     /// Watchdog-aware queue admission.
     admission: Admission,
     shutdown: AtomicBool,
+    /// Wakes the health ticker early on shutdown (the mutex only pairs
+    /// with the condvar).
+    ticker: (Mutex<()>, Condvar),
     registry: Registry,
     m: Metrics,
     traces: TraceIdGen,
@@ -445,6 +453,10 @@ impl State {
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
+        // Taking the ticker's lock orders this store before its next
+        // predicate check, so the wake-up cannot be lost.
+        let _guard = relock(&self.ticker.0);
+        self.ticker.1.notify_all();
     }
 }
 
@@ -537,9 +549,10 @@ impl Server {
             cache: (cfg.cache > 0).then(|| Mutex::new(Lru::new(cfg.cache))),
             admission: Admission::new(),
             shutdown: AtomicBool::new(false),
+            ticker: (Mutex::new(()), Condvar::new()),
             registry,
             m,
-            traces: TraceIdGen::new(cfg.trace_seed),
+            traces: TraceIdGen::new(TRACE_SEED),
             slo_us: cfg.slo_us,
             flight_dir: cfg.flight_dir.clone(),
             flight_files: AtomicU64::new(0),
@@ -566,7 +579,8 @@ impl Server {
     }
 
     /// Serves until shutdown (SIGINT, `/shutdown` or [`ServerHandle`]),
-    /// then drains the queue, joins the workers and returns.
+    /// then drains the queue, joins the workers and the health ticker, and
+    /// returns.
     ///
     /// # Errors
     ///
@@ -574,21 +588,24 @@ impl Server {
     /// absorbed (logged as 400s in the metrics where attributable).
     pub fn run(&self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        let mut workers = Vec::with_capacity(self.workers);
+        let mut threads = Vec::with_capacity(self.workers + 1);
         for i in 0..self.workers {
             let state = Arc::clone(&self.state);
             let t = std::thread::Builder::new()
                 .name(format!("tdo-serve-{i}"))
                 .spawn(move || worker_loop(&state))
                 .expect("spawn worker thread");
-            workers.push(t);
+            threads.push(t);
         }
-        // The health sampler rides the accept loop's idle sleeps: every
-        // fifth 20 ms sleep (~100 ms) is one background tick. Busy periods
-        // starve the tick, but every `/metrics/history` scrape pre-samples,
-        // so history never misses a change — only the watchdog cadence
-        // stretches under saturation.
-        let mut idle_sleeps: u32 = 0;
+        let state = Arc::clone(&self.state);
+        let ticker = std::thread::Builder::new()
+            .name("tdo-health".into())
+            .spawn(move || ticker_loop(&state))
+            .expect("spawn health ticker thread");
+        threads.push(ticker);
+        // The non-blocking poll only bounds how long a shutdown (SIGINT
+        // included) waits to be noticed; health ticks run on their own
+        // thread.
         while !self.state.shutting_down() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -601,19 +618,12 @@ impl Server {
                     }
                     handle_connection(&self.state, stream);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                    idle_sleeps += 1;
-                    if idle_sleeps.is_multiple_of(5) {
-                        health_tick(&self.state);
-                    }
-                }
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
-        // Stop the pool: workers drain the queue, then exit.
+        // Stop the pool and the ticker: workers drain the queue, then exit.
         self.state.request_shutdown();
-        for t in workers {
+        for t in threads {
             let _ = t.join();
         }
         Ok(())
@@ -627,10 +637,27 @@ impl Server {
     }
 }
 
-/// One background health tick: sample the registry into the history ring
-/// and let the watchdog look at the window; tripped rules count and dump.
+/// The `tdo-health` thread: one [`health_tick`] every [`HEALTH_TICK`]
+/// until shutdown, which wakes it at once.
+fn ticker_loop(state: &Arc<State>) {
+    let (lock, cv) = &state.ticker;
+    let mut guard = relock(lock);
+    loop {
+        let (g, wait) = cv
+            .wait_timeout_while(guard, HEALTH_TICK, |()| !state.shutting_down())
+            .unwrap_or_else(PoisonError::into_inner);
+        if !wait.timed_out() {
+            return;
+        }
+        drop(g);
+        health_tick(state);
+        guard = relock(lock);
+    }
+}
+
+/// One background health tick: sample the registry into the history rows
+/// and let the watchdog look at its window; tripped rules count and dump.
 fn health_tick(state: &Arc<State>) {
-    state.m.queue_depth.set(relock(&state.queue).len() as u64);
     for rule in state.health.tick(&state.registry, &state.m.uptime) {
         state.m.watchdog_trip(rule);
         // Any tripped rule tightens queue admission for the next
@@ -726,8 +753,7 @@ fn handle_connection(state: &Arc<State>, mut stream: TcpStream) {
                     // Pre-sample so the scrape reflects everything up to
                     // this instant; the request's own counters are excluded
                     // from sampling, so an idle re-scrape is byte-identical.
-                    state.m.queue_depth.set(relock(&state.queue).len() as u64);
-                    state.health.sample(&state.registry);
+                    state.health.sample(&state.registry, &state.m.uptime);
                     let body = state.health.render_history(window);
                     let _ = write_response_typed(&mut stream, 200, "application/jsonl", &body);
                 }
@@ -797,7 +823,7 @@ fn handle_run(
                 request_span.end(0);
                 return;
             }
-            enqueue_run(state, stream, req.body, t0, request_span);
+            enqueue_run(state, stream, plan, t0, request_span);
         }
     }
 }
@@ -832,7 +858,7 @@ fn serve_from_cache(state: &Arc<State>, plan: &RunPlan) -> Option<String> {
 fn enqueue_run(
     state: &Arc<State>,
     stream: TcpStream,
-    body: String,
+    plan: RunPlan,
     t0: Instant,
     request_span: OpenSpan,
 ) {
@@ -848,7 +874,7 @@ fn enqueue_run(
         let admitted = state.admission.admit(q.len(), state.queue_cap, tick) == Admit::Accept;
         if admitted && !state.shutting_down() && !saturated {
             let stream = rejected.take().expect("stream not yet moved");
-            q.push_back(Job { stream, body, t0, ctx, queue_span, request_span });
+            q.push_back(Job { stream, plan, t0, ctx, queue_span, request_span });
             state.m.queue_depth.set(q.len() as u64);
         }
     }
@@ -894,7 +920,7 @@ fn worker_loop(state: &Arc<State>) {
             if tdo_fault::fire(Site::ServerWorkerPanic).is_some() {
                 panic!("injected worker panic");
             }
-            serve_run(state, &mut job.stream, &job.body, job.t0);
+            serve_run(state, &mut job.stream, &job.plan, job.t0);
         }));
         if served.is_err() {
             trigger_flight_dump(state, "worker_panic");
@@ -905,24 +931,11 @@ fn worker_loop(state: &Arc<State>) {
 
 /// Runs a parsed plan on a worker (single-flighted / batch-coalesced) and
 /// writes the response.
-fn serve_run(state: &Arc<State>, stream: &mut TcpStream, body: &str, t0: Instant) {
+fn serve_run(state: &Arc<State>, stream: &mut TcpStream, plan: &RunPlan, t0: Instant) {
     let trace = span::current().trace;
-    // Re-parse on this side of the queue (the body crosses it as the raw
-    // string); the accept thread already rejected malformed specs, so an
-    // error here is defensive only.
-    let plan = match parse_run_plan(body) {
-        Ok(plan) => plan,
-        Err(msg) => {
-            state.m.run_rejected.inc();
-            state.m.bad_request("bad_cell_spec");
-            state.m.lat_run.observe_with_exemplar(elapsed_us(t0), trace);
-            respond_error(stream, 400, &msg);
-            return;
-        }
-    };
     // Latency covers read → queue wait → simulate; observed before the
     // response is written so a follow-up scrape always sees the sample.
-    let (result, coalesced) = match &plan {
+    let (result, coalesced) = match plan {
         RunPlan::Single(cell, _) => {
             let (r, coalesced) = run_cached(state, cell);
             (r.map(|r| vec![r]), coalesced)
@@ -937,7 +950,7 @@ fn serve_run(state: &Arc<State>, stream: &mut TcpStream, body: &str, t0: Instant
     match result {
         Ok(results) => {
             state.m.run_ok.inc();
-            let body = match &plan {
+            let body = match plan {
                 RunPlan::Single(cell, arm) => result_json(cell, *arm, &results[0], coalesced),
                 RunPlan::Batch(cells) => batch_json(cells, &results),
             };
@@ -1197,8 +1210,6 @@ fn result_json(cell: &Cell, arm: PrefetchSetup, r: &SimResult, coalesced: bool) 
 /// engine's store counters, all integers.
 fn metrics_json(state: &Arc<State>) -> String {
     let m = &state.m;
-    let queue_depth = relock(&state.queue).len();
-    m.queue_depth.set(queue_depth as u64);
     let runs_started = m.runs_started.get();
     let runs_finished = m.runs_finished.get();
     let store = state.runner.backend().map(tdo_sim::StoreBackend::stats);
@@ -1222,7 +1233,7 @@ fn metrics_json(state: &Arc<State>) -> String {
          \"run_requests\":{},\"run_ok\":{},\"run_rejected\":{},\"run_failed\":{},\
          \"coalesced\":{},\"shed\":{},\"bad_requests\":{},\"not_found\":{},\
          \"runs_started\":{},\"runs_finished\":{},\"runs_inflight\":{},\
-         \"queue_depth\":{queue_depth},\"queue_cap\":{},\
+         \"queue_depth\":{},\"queue_cap\":{},\
          \"batch_requests\":{},\"batch_cells\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
          \"cache_entries\":{},\"shards\":{},\"admission_degraded\":{},\
@@ -1244,6 +1255,7 @@ fn metrics_json(state: &Arc<State>) -> String {
         runs_started,
         runs_finished,
         runs_started.saturating_sub(runs_finished),
+        m.queue_depth.get(),
         state.queue_cap,
         m.batch_requests.get(),
         m.batch_cells.get(),
@@ -1264,9 +1276,8 @@ fn metrics_json(state: &Arc<State>) -> String {
 }
 
 /// The `GET /metrics?format=prom` body: the whole registry in Prometheus
-/// text exposition. Gauges sampled lazily are refreshed first.
+/// text exposition.
 fn metrics_prom(state: &Arc<State>) -> String {
-    state.m.queue_depth.set(relock(&state.queue).len() as u64);
     state.registry.render_prom()
 }
 

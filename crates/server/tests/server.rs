@@ -466,3 +466,35 @@ fn shutdown_endpoint_stops_the_daemon_and_drains_the_queue() {
     let after = client::get(&addr, "/health");
     assert!(after.is_err(), "listener closed after shutdown");
 }
+
+/// The `tdo_server_uptime_ticks` gauge from a Prometheus scrape.
+fn uptime_ticks(addr: &str) -> u64 {
+    let prom = client::get(addr, "/metrics?format=prom").expect("GET /metrics?format=prom").body;
+    prom.lines()
+        .find_map(|l| l.strip_prefix("tdo_server_uptime_ticks "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("uptime gauge in:\n{prom}"))
+}
+
+#[test]
+fn health_ticks_keep_running_while_a_request_is_stalled_half_sent() {
+    use std::io::{Read, Write};
+    let (addr, handle, t) = start(1, 4);
+    let before = uptime_ticks(&addr);
+
+    // The accept thread reads this request for as long as it is held
+    // half-sent; the health clock must not wait for it.
+    let mut stalled = std::net::TcpStream::connect(&addr).expect("connect");
+    stalled.write_all(b"GET /health HTTP/1.1\r\n").expect("first half");
+    std::thread::sleep(Duration::from_secs(1));
+    stalled.write_all(b"\r\n").expect("second half");
+    let mut reply = String::new();
+    stalled.read_to_string(&mut reply).expect("reply");
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+
+    let after = uptime_ticks(&addr);
+    assert!(after >= before + 5, "ticks {before} -> {after} across a 1 s stall");
+
+    handle.shutdown();
+    t.join().expect("clean shutdown");
+}

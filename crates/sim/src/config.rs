@@ -301,13 +301,4 @@ impl SimConfig {
             policy: (setup == PrefetchSetup::Policy).then(PolicyConfig::test),
         }
     }
-
-    /// Enables hot-trace formation without software prefetching (used by
-    /// coverage and overhead experiments).
-    #[must_use]
-    pub fn with_tracing_only(mut self) -> SimConfig {
-        self.trident_enabled = true;
-        self.sw_mode = SwPrefetchMode::Off;
-        self
-    }
 }

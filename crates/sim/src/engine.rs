@@ -333,13 +333,6 @@ impl Runner {
         (self.events_dropped_saturated.get(), self.events_dropped_duplicate.get())
     }
 
-    /// Per-arm `(issued, useful)` prefetch totals across every unique
-    /// cell, indexed by [`ArmKind::index`].
-    #[must_use]
-    pub fn arm_totals(&self) -> [(u64, u64); ArmKind::COUNT] {
-        std::array::from_fn(|i| (self.arm_issued[i].get(), self.arm_useful[i].get()))
-    }
-
     /// Policy-controller arm switches across every unique cell.
     #[must_use]
     pub fn arm_switches(&self) -> u64 {

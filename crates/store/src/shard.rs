@@ -11,14 +11,15 @@
 //! of the population, which is what lets a deployment reshard without
 //! re-simulating the world.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tdo_metrics::Registry;
+use tdo_metrics::{HistogramSnapshot, Registry};
 use tdo_rand::{fnv1a64, mix64};
 
-use crate::{Store, StoreStats};
+use crate::{GenerationSize, SizeStats, Store, StoreStats};
 
 /// A consistent-hash ring mapping 64-bit keys to shard indices.
 ///
@@ -124,12 +125,6 @@ impl ShardedStore {
         &self.map
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard store at index `i` (for tests and per-shard inspection).
     ///
     /// # Panics
@@ -183,6 +178,30 @@ impl ShardedStore {
             total.puts += st.puts;
         }
         total
+    }
+
+    /// Per-generation footprint and record-size histogram of the live
+    /// records across all shards (see [`Store::size_stats`]).
+    #[must_use]
+    pub fn size_stats(&self) -> SizeStats {
+        let mut per: BTreeMap<u32, GenerationSize> = BTreeMap::new();
+        let mut record_bytes = HistogramSnapshot::default();
+        for s in &self.shards {
+            let sz = s.size_stats();
+            for g in sz.per_generation {
+                let total = per
+                    .entry(g.version)
+                    .or_insert(GenerationSize { version: g.version, ..GenerationSize::default() });
+                total.records += g.records;
+                total.bytes += g.bytes;
+            }
+            for (total, n) in record_bytes.buckets.iter_mut().zip(sz.record_bytes.buckets) {
+                *total += n;
+            }
+            record_bytes.sum = record_bytes.sum.wrapping_add(sz.record_bytes.sum);
+            record_bytes.count += sz.record_bytes.count;
+        }
+        SizeStats { per_generation: per.into_values().collect(), record_bytes }
     }
 
     /// Per-shard statistics, indexed by shard.

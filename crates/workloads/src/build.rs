@@ -91,13 +91,6 @@ impl DataAlloc {
         addr
     }
 
-    /// Allocates a segment initialized with `f64` values.
-    pub fn f64s(&mut self, values: &[f64]) -> u64 {
-        let addr = self.reserve(values.len() as u64 * 8);
-        self.segments.push(DataSegment::from_f64s(addr, values));
-        addr
-    }
-
     /// Allocates a segment initialized with 64-bit words.
     pub fn words(&mut self, values: &[u64]) -> u64 {
         let addr = self.reserve(values.len() as u64 * 8);
