@@ -34,7 +34,7 @@ use tdo_obs::json::{self, Value};
 use tdo_rand::{fnv1a64, Rng};
 use tdo_server::{client, Server, ServerConfig};
 use tdo_sim::{Cell, ExperimentSpec, Runner, SimConfig, SimResult};
-use tdo_store::Store;
+use tdo_store::{ShardedStore, Store};
 use tdo_workloads::{names, Scale};
 
 use crate::loadgen::normalize_response;
@@ -440,7 +440,8 @@ fn engine_chaos(opts: &ChaosOpts, violations: &mut Vec<String>, cov: &mut Covera
             .with_prob(Site::EngineStoreDegrade, 500));
         for jobs in [opts.jobs.max(1), 1] {
             let dir = TempDir::new("engine");
-            let runner = Runner::with_store(jobs, Arc::new(Store::open(dir.path()).unwrap()));
+            let runner =
+                Runner::with_store(jobs, Arc::new(ShardedStore::open(dir.path(), 1).unwrap()));
             let got = spec_digests(&runner.run_spec(&spec));
             if got != baseline {
                 digests_match = false;
@@ -455,7 +456,7 @@ fn engine_chaos(opts: &ChaosOpts, violations: &mut Vec<String>, cov: &mut Covera
     // An injected panic fails exactly one cell; the retry (faults gone)
     // reproduces the clean baseline bit for bit.
     let dir = TempDir::new("engine-panic");
-    let runner = Runner::with_store(1, Arc::new(Store::open(dir.path()).unwrap()));
+    let runner = Runner::with_store(1, Arc::new(ShardedStore::open(dir.path(), 1).unwrap()));
     let failed_cells;
     {
         let guard = arm(FaultPlan::new(opts.seed ^ 0xE2).with_at(Site::EngineCellPanic, 2));

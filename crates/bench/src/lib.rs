@@ -186,7 +186,7 @@ impl Harness {
         let runner = if opts.no_store {
             Runner::new(opts.jobs)
         } else {
-            Runner::with_default_store(opts.jobs, opts.store_dir.as_deref())
+            Runner::with_default_store(opts.jobs, opts.store_dir.as_deref(), 1)
         };
         Harness { opts, runner }
     }

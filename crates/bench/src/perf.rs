@@ -122,7 +122,7 @@ pub fn measure(opts: &PerfOpts) -> PerfOutcome {
     let runner = if opts.no_store {
         Runner::new(opts.jobs)
     } else {
-        Runner::with_default_store(opts.jobs, opts.store_dir.as_deref())
+        Runner::with_default_store(opts.jobs, opts.store_dir.as_deref(), 1)
     };
     let mut spec = ExperimentSpec::new();
     for &name in names() {

@@ -234,7 +234,7 @@ fn runner(o: &Opts) -> Runner {
     if o.no_store {
         Runner::new(o.jobs)
     } else {
-        Runner::with_default_store(o.jobs, o.store_dir.as_deref())
+        Runner::with_default_store(o.jobs, o.store_dir.as_deref(), 1)
     }
 }
 
@@ -700,35 +700,23 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let dir = Store::resolve_dir(store_dir.as_deref());
-    let cannot_open = |e: std::io::Error| format!("cannot open store `{}`: {e}", dir.display());
     // A root holding `shard-NNN/` directories (a `tdo serve --shards N`
-    // store) is acted on shard by shard; nothing is opened at the root.
+    // store) is acted on shard by shard; any other root is one store.
     let shards = shard_dirs(&dir)?;
-    let sharded =
-        (shards > 0).then(|| ShardedStore::open(&dir, shards)).transpose().map_err(cannot_open)?;
-    let stores: Vec<Arc<Store>> = match &sharded {
-        Some(ss) => (0..shards).map(|i| Arc::clone(ss.shard(i))).collect(),
-        None => vec![Arc::new(Store::open(&dir).map_err(cannot_open)?)],
-    };
+    let store = ShardedStore::open(&dir, shards)
+        .map_err(|e| format!("cannot open store `{}`: {e}", dir.display()))?;
     match action.as_str() {
         "stats" => {
-            let (s, sz) = match &sharded {
-                Some(ss) => {
-                    println!("store {} ({shards} shards)", dir.display());
-                    (ss.stats(), ss.size_stats())
-                }
-                None => {
-                    println!("store {}", dir.display());
-                    (stores[0].stats(), stores[0].size_stats())
-                }
-            };
+            let (s, sz) = (store.stats(), store.size_stats());
+            let layout = if shards > 1 { format!(" ({shards} shards)") } else { String::new() };
+            println!("store {}{layout}", dir.display());
             println!("  live records       {}", s.live_records);
             println!("  shadowed records   {}", s.shadowed_records);
             println!("  log bytes          {}", s.log_bytes);
             println!("  quarantine bytes   {}", s.quarantine_bytes);
             println!("  quarantined (run)  {}", s.quarantined);
             println!("  schema version     {SCHEMA_VERSION}");
-            if let Some(ss) = &sharded {
+            if shards > 1 {
                 println!();
                 let mut rep = Report::new("shards")
                     .key("shard", 12)
@@ -740,8 +728,8 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
                     [s.live_records, s.shadowed_records, s.log_bytes, s.quarantined]
                         .map(|v| v.to_string())
                 };
-                for (i, st) in ss.per_shard_stats().iter().enumerate() {
-                    rep.row(format!("shard-{i:03}"), cells(st));
+                for (i, shard) in store.shards().iter().enumerate() {
+                    rep.row(format!("shard-{i:03}"), cells(&shard.stats()));
                 }
                 rep.footer("total", cells(&s));
                 print!("{}", rep.render(Format::Table));
@@ -778,7 +766,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
         }
         "verify" => {
             let mut clean = true;
-            for store in &stores {
+            for store in store.shards() {
                 let report = store.verify().map_err(|e| format!("verify: {e}"))?;
                 println!(
                     "store {}: {} good, {} corrupt, {} trailing garbage bytes",
@@ -792,7 +780,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
             Ok(if clean { ExitCode::SUCCESS } else { ExitCode::FAILURE })
         }
         "gc" => {
-            for store in &stores {
+            for store in store.shards() {
                 let report = store.gc(SCHEMA_VERSION).map_err(|e| format!("gc: {e}"))?;
                 println!(
                     "store {}: kept {}, dropped {} stale + {} shadowed, {} -> {} bytes",
@@ -812,13 +800,20 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
 
 /// How many `shard-NNN/` directories `root` holds (0 = an unsharded store
 /// or no store yet). They must be numbered `shard-000` onwards without
-/// gaps, as `tdo serve --shards N` lays them out.
+/// gaps, as `tdo serve --shards N` lays them out, and there must be at
+/// least two: a one-shard store is the root itself.
 fn shard_dirs(root: &std::path::Path) -> Result<usize, String> {
     let Ok(entries) = std::fs::read_dir(root) else { return Ok(0) };
     let n = entries
         .filter_map(Result::ok)
         .filter(|e| e.path().is_dir() && e.file_name().to_string_lossy().starts_with("shard-"))
         .count();
+    if n == 1 {
+        return Err(format!(
+            "store root `{}` holds one shard directory; a sharded root holds at least two",
+            root.display()
+        ));
+    }
     if (0..n).any(|i| !root.join(format!("shard-{i:03}")).is_dir()) {
         return Err(format!(
             "store root `{}` holds {n} shard directories, not shard-000..shard-{:03}",

@@ -314,4 +314,13 @@ fn store_maintenance_acts_on_every_shard_of_a_sharded_root() {
     let damaged = tdo(&["store", "verify", "--store-dir", &dir.path()]);
     assert!(!damaged.status.success(), "{}", stdout_of(&damaged));
     assert!(stdout_of(&damaged).contains("1 corrupt"), "{}", stdout_of(&damaged));
+
+    // A one-shard store is the root itself, so a root holding a single
+    // `shard-000/` is refused rather than guessed at.
+    for s in 1..4 {
+        fs::remove_dir_all(dir.0.join(format!("shard-{s:03}"))).expect("drop a shard");
+    }
+    let one = tdo(&["store", "stats", "--store-dir", &dir.path()]);
+    assert!(!one.status.success(), "{}", stdout_of(&one));
+    assert!(String::from_utf8_lossy(&one.stderr).contains("one shard directory"));
 }

@@ -9,24 +9,15 @@
 
 use tdo_obs::json::{self, Value};
 
-/// Parses a flat cell-spec object into `(key, value)` pairs in document
-/// order.
-///
-/// # Errors
-///
-/// Returns a human-readable message on any deviation from the flat-object
-/// grammar (which the server surfaces as a 400).
-pub fn parse_object(text: &str) -> Result<Vec<(String, Value)>, String> {
-    cell_spec(json::parse(text)?)
-}
-
-/// A parsed `/run` body: one flat cell spec, or the batch form.
+/// A parsed `/run` body: its cell specs in request order, each as
+/// `(key, value)` pairs in document order.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RunBody {
-    /// `{<cell spec>}` — a single flat object.
-    Single(Vec<(String, Value)>),
-    /// `{"cells":[{<cell spec>}, …]}` — the batch form.
-    Batch(Vec<Vec<(String, Value)>>),
+pub struct RunBody {
+    /// The cell specs: exactly one for the single-cell form.
+    pub cells: Vec<Vec<(String, Value)>>,
+    /// Whether the body was the `{"cells":[…]}` batch form, which answers
+    /// `{"results":[…]}` instead of one result object.
+    pub batch: bool,
 }
 
 /// Parses a `/run` body: a flat cell-spec object, or the batch form
@@ -40,17 +31,17 @@ pub fn parse_run_body(text: &str) -> Result<RunBody, String> {
     let mut pairs = json::parse(text)?;
     if let [(key, Value::Array(cells))] = pairs.as_mut_slice() {
         if key == "cells" {
-            return std::mem::take(cells)
+            let cells = std::mem::take(cells)
                 .into_iter()
                 .map(|cell| match cell {
                     Value::Object(pairs) => cell_spec(pairs),
                     _ => Err("`cells` elements must be objects".into()),
                 })
-                .collect::<Result<_, _>>()
-                .map(RunBody::Batch);
+                .collect::<Result<_, _>>()?;
+            return Ok(RunBody { cells, batch: true });
         }
     }
-    cell_spec(pairs).map(RunBody::Single)
+    Ok(RunBody { cells: vec![cell_spec(pairs)?], batch: false })
 }
 
 /// Checks that every value of a parsed object is a cell-spec scalar.
@@ -69,12 +60,18 @@ fn cell_spec(pairs: Vec<(String, Value)>) -> Result<Vec<(String, Value)>, String
 mod tests {
     use super::*;
 
+    /// The pairs of a single-cell body.
+    fn single(text: &str) -> Vec<(String, Value)> {
+        let RunBody { mut cells, batch } = parse_run_body(text).unwrap();
+        assert!(!batch && cells.len() == 1, "single-cell form: {text}");
+        cells.remove(0)
+    }
+
     #[test]
     fn parses_a_cell_spec() {
-        let pairs = parse_object(
+        let pairs = single(
             r#"{ "workload": "mcf", "arm": "sr", "scale": "full", "insts": 5000, "store": true }"#,
-        )
-        .unwrap();
+        );
         assert_eq!(pairs.len(), 5);
         assert_eq!(pairs[0], ("workload".into(), Value::Str("mcf".into())));
         assert_eq!(pairs[3], ("insts".into(), Value::Int(5000)));
@@ -83,9 +80,8 @@ mod tests {
 
     #[test]
     fn empty_object_and_escapes() {
-        assert!(parse_object("{}").unwrap().is_empty());
-        let pairs = parse_object(r#"{"a":"x\"y\\z\n"}"#).unwrap();
-        assert_eq!(pairs[0].1, Value::Str("x\"y\\z\n".into()));
+        assert!(single("{}").is_empty());
+        assert_eq!(single(r#"{"a":"x\"y\\z\n"}"#)[0].1, Value::Str("x\"y\\z\n".into()));
     }
 
     #[test]
@@ -104,20 +100,18 @@ mod tests {
             r#"{"a":"\q"}"#,
             r#"{"a":99999999999999999999999}"#,
         ] {
-            assert!(parse_object(bad).is_err(), "should reject: {bad}");
+            assert!(parse_run_body(bad).is_err(), "should reject: {bad}");
         }
     }
 
     #[test]
     fn utf8_survives() {
-        let pairs = parse_object(r#"{"a":"héllo ⚙"}"#).unwrap();
-        assert_eq!(pairs[0].1, Value::Str("héllo ⚙".into()));
+        assert_eq!(single(r#"{"a":"héllo ⚙"}"#)[0].1, Value::Str("héllo ⚙".into()));
     }
 
     #[test]
     fn run_body_single_falls_through_to_flat_object() {
-        let body = parse_run_body(r#"{"workload":"mcf","insts":5000}"#).unwrap();
-        let RunBody::Single(pairs) = body else { panic!("expected single") };
+        let pairs = single(r#"{"workload":"mcf","insts":5000}"#);
         assert_eq!(pairs.len(), 2);
         assert_eq!(pairs[0], ("workload".into(), Value::Str("mcf".into())));
     }
@@ -128,14 +122,12 @@ mod tests {
             r#"{ "cells": [ {"workload":"mcf"}, {"workload":"art","arm":"sr","insts":9} ] }"#,
         )
         .unwrap();
-        let RunBody::Batch(cells) = body else { panic!("expected batch") };
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0], vec![("workload".into(), Value::Str("mcf".into()))]);
-        assert_eq!(cells[1][2], ("insts".into(), Value::Int(9)));
-        let RunBody::Batch(empty) = parse_run_body(r#"{"cells":[]}"#).unwrap() else {
-            panic!("expected batch")
-        };
-        assert!(empty.is_empty());
+        assert!(body.batch);
+        assert_eq!(body.cells.len(), 2);
+        assert_eq!(body.cells[0], vec![("workload".into(), Value::Str("mcf".into()))]);
+        assert_eq!(body.cells[1][2], ("insts".into(), Value::Int(9)));
+        let empty = parse_run_body(r#"{"cells":[]}"#).unwrap();
+        assert_eq!(empty, RunBody { cells: vec![], batch: true });
     }
 
     #[test]
@@ -152,9 +144,6 @@ mod tests {
             assert!(parse_run_body(bad).is_err(), "should reject: {bad}");
         }
         // A non-array `cells` value is an ordinary flat object.
-        let RunBody::Single(pairs) = parse_run_body(r#"{"cells":3}"#).unwrap() else {
-            panic!("expected single")
-        };
-        assert_eq!(pairs[0], ("cells".into(), Value::Int(3)));
+        assert_eq!(single(r#"{"cells":3}"#), vec![("cells".into(), Value::Int(3))]);
     }
 }

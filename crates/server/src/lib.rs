@@ -11,11 +11,12 @@
 //! `POST /run` is handed to a small fixed pool of worker threads through a
 //! bounded queue. When the queue is full the accept thread sheds the
 //! request with an explicit `503` instead of letting latency collapse.
-//! Identical cells requested concurrently are *single-flighted*: the first
-//! request simulates, the rest wait on the same flight and share the one
-//! result. A `tdo-health` thread ticks the [`health`] plane every 100 ms.
-//! `SIGINT`/ctrl-C (or `POST /shutdown`) stops accepting, drains the
-//! queue, finishes in-flight simulations and exits cleanly.
+//! Identical cells requested concurrently — alone or inside batches — are
+//! *single-flighted*: the first request simulates, the rest wait on the
+//! same flight and share the one result. A `tdo-health` thread ticks the
+//! [`health`] plane every 100 ms. `SIGINT`/ctrl-C (or `POST /shutdown`)
+//! stops accepting, drains the queue, finishes in-flight simulations and
+//! exits cleanly.
 //!
 //! | Endpoint | Served by | Behaviour |
 //! |---|---|---|
@@ -24,18 +25,18 @@
 //! | `GET /workloads` | accept thread | the workload suite with descriptions |
 //! | `GET /metrics/history?window=N` | accept thread | retained health-sampler rows as JSONL (see [`health`]) |
 //! | `GET /debug/flight` | accept thread | the flight recorder's current contents as flight JSONL |
-//! | `POST /run` | worker pool (LRU hits: accept thread) | JSON cell spec or `{"cells":[…]}` batch → result(s) (LRU, then store, then memo, then simulate) |
+//! | `POST /run` | worker pool (LRU hits: accept thread) | JSON cell spec or `{"cells":[…]}` batch → result(s) (per cell: LRU, single-flight, memo, store, simulate) |
 //! | `POST /shutdown` | accept thread | graceful shutdown (equivalent to SIGINT) |
 //!
 //! **Serving at scale.** With `--shards N` the persistent store splits
 //! into N consistent-hash shards (`shard-000/` …) routed by the cell
 //! fingerprint ([`tdo_store::ShardMap`]); with a hot-result [`lru`] cache
 //! in front (capacity `--cache`), repeat cells answer from the accept
-//! thread without touching queue, store or engine. Batch `POST /run`
-//! bodies coalesce all their cold cells into one engine invocation.
-//! [`admission`] tightens the queue bound to half while the health
-//! watchdog reports the tier degraded, shedding earlier instead of
-//! letting the backlog compound.
+//! thread without touching queue, store or engine. A batch `POST /run`
+//! takes one queue slot, and its worker resolves each cell as it would a
+//! single-cell request. [`admission`] tightens the queue bound to half
+//! while the health watchdog reports the tier degraded, shedding earlier
+//! instead of letting the backlog compound.
 //!
 //! **Tracing.** Every connection is minted a trace id (echoed back as an
 //! `X-Tdo-Trace` response header); the request, its queue wait, the engine
@@ -67,8 +68,7 @@ use tdo_metrics::{Counter, Gauge, Histogram, Registry};
 use tdo_obs::json::{escape, Value};
 use tdo_obs::span::{self, OpenSpan};
 use tdo_obs::{FlightKind, TraceCtx, TraceIdGen};
-use tdo_sim::{Cell, ExperimentSpec, PrefetchSetup, Runner, SimConfig, SimResult};
-use tdo_store::ShardedStore;
+use tdo_sim::{Cell, PrefetchSetup, Runner, SimConfig, SimResult};
 use tdo_workloads::{build, names, Scale};
 
 use admission::{Admission, Admit};
@@ -499,22 +499,8 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let runner = if cfg.no_store {
             Runner::new(1)
-        } else if cfg.shards >= 2 {
-            let root = tdo_store::Store::resolve_dir(cfg.store_dir.as_deref());
-            match ShardedStore::open(&root, cfg.shards) {
-                Ok(s) => Runner::with_sharded_store(1, Arc::new(s)),
-                Err(e) => {
-                    tdo_obs::logline::log(
-                        tdo_obs::Level::Warn,
-                        "server",
-                        "cannot open sharded result store; running without one",
-                        &[("dir", &root.display().to_string()), ("err", &e.to_string())],
-                    );
-                    Runner::new(1)
-                }
-            }
         } else {
-            Runner::with_default_store(1, cfg.store_dir.as_deref())
+            Runner::with_default_store(1, cfg.store_dir.as_deref(), cfg.shards)
         };
         let registry = Registry::new();
         let m = Metrics::new(&registry);
@@ -695,8 +681,8 @@ fn handle_connection(state: &Arc<State>, mut stream: TcpStream) {
     };
     state.m.requests.inc();
     let request_span = span::begin(FlightKind::Request, 0);
-    // Only `/metrics` interprets its query string; the path part alone
-    // routes everywhere.
+    // Only `/metrics` and `/metrics/history` interpret their query
+    // strings; the path part alone routes everywhere.
     let (path, query) = match req.path.split_once('?') {
         Some((p, q)) => (p.to_string(), Some(q.to_string())),
         None => (req.path.clone(), None),
@@ -810,9 +796,9 @@ fn handle_run(
             request_span.end(0);
         }
         Ok(plan) => {
-            if let RunPlan::Batch(cells) = &plan {
+            if plan.batch {
                 state.m.batch_requests.inc();
-                state.m.batch_cells.add(cells.len() as u64);
+                state.m.batch_cells.add(plan.cells.len() as u64);
             }
             // Whole-request LRU hit: answer from the accept thread —
             // no queue, no worker, no store, no engine.
@@ -832,24 +818,12 @@ fn handle_run(
 /// if any cell (or the cache itself) is missing.
 fn serve_from_cache(state: &Arc<State>, plan: &RunPlan) -> Option<String> {
     let cache = state.cache.as_ref()?;
-    match plan {
-        RunPlan::Single(cell, arm) => {
-            let r = relock(cache).get(&cell.fingerprint())?;
-            state.m.cache_hits.inc();
-            Some(result_json(cell, *arm, &r, false))
-        }
-        RunPlan::Batch(cells) => {
-            let mut results = Vec::with_capacity(cells.len());
-            {
-                let mut c = relock(cache);
-                for (cell, _) in cells {
-                    results.push(c.get(&cell.fingerprint())?);
-                }
-            }
-            state.m.cache_hits.add(cells.len() as u64);
-            Some(batch_json(cells, &results))
-        }
-    }
+    let results = {
+        let mut c = relock(cache);
+        plan.cells.iter().map(|(cell, _)| c.get(&cell.fingerprint())).collect::<Option<Vec<_>>>()?
+    };
+    state.m.cache_hits.add(results.len() as u64);
+    Some(run_json(plan, &results, false))
 }
 
 /// Admits a `/run` request to the bounded queue, or sheds it with a 503.
@@ -929,32 +903,31 @@ fn worker_loop(state: &Arc<State>) {
     }
 }
 
-/// Runs a parsed plan on a worker (single-flighted / batch-coalesced) and
-/// writes the response.
+/// Runs a parsed plan on a worker, every cell through [`run_cached`], and
+/// writes the response. The first failing cell fails the whole request.
 fn serve_run(state: &Arc<State>, stream: &mut TcpStream, plan: &RunPlan, t0: Instant) {
     let trace = span::current().trace;
+    let mut coalesced = false;
+    let results: Result<Vec<_>, String> = plan
+        .cells
+        .iter()
+        .map(|(cell, _)| {
+            let (r, c) = run_cached(state, cell);
+            coalesced = c;
+            r
+        })
+        .collect();
     // Latency covers read → queue wait → simulate; observed before the
     // response is written so a follow-up scrape always sees the sample.
-    let (result, coalesced) = match plan {
-        RunPlan::Single(cell, _) => {
-            let (r, coalesced) = run_cached(state, cell);
-            (r.map(|r| vec![r]), coalesced)
-        }
-        RunPlan::Batch(cells) => (run_batch(state, cells), false),
-    };
     let us = elapsed_us(t0);
     state.m.lat_run.observe_with_exemplar(us, trace);
     if state.slo_us > 0 && us > state.slo_us {
         trigger_flight_dump(state, "slo_breach");
     }
-    match result {
+    match results {
         Ok(results) => {
             state.m.run_ok.inc();
-            let body = match plan {
-                RunPlan::Single(cell, arm) => result_json(cell, *arm, &results[0], coalesced),
-                RunPlan::Batch(cells) => batch_json(cells, &results),
-            };
-            let _ = write_response(stream, 200, &body);
+            let _ = write_response(stream, 200, &run_json(plan, &results, coalesced));
         }
         Err(msg) => {
             state.m.run_failed.inc();
@@ -979,46 +952,6 @@ fn run_cached(state: &Arc<State>, cell: &Cell) -> (Result<Arc<SimResult>, String
         cache_insert(state, key, Arc::clone(r));
     }
     (result, coalesced)
-}
-
-/// Runs a batch: cells the LRU holds are answered from it, every
-/// remaining cell coalesces into ONE engine invocation (`run_spec`
-/// deduplicates repeats and memoizes), and fresh results fill the LRU.
-fn run_batch(
-    state: &Arc<State>,
-    cells: &[(Cell, PrefetchSetup)],
-) -> Result<Vec<Arc<SimResult>>, String> {
-    let mut out: Vec<Option<Arc<SimResult>>> = vec![None; cells.len()];
-    if let Some(cache) = &state.cache {
-        let mut c = relock(cache);
-        for (slot, (cell, _)) in out.iter_mut().zip(cells) {
-            *slot = c.get(&cell.fingerprint());
-        }
-        let hits = out.iter().filter(|r| r.is_some()).count() as u64;
-        state.m.cache_hits.add(hits);
-        state.m.cache_misses.add(cells.len() as u64 - hits);
-    }
-    let mut spec = ExperimentSpec::new();
-    for ((cell, _), slot) in cells.iter().zip(&out) {
-        if slot.is_none() {
-            spec.push(cell.clone());
-        }
-    }
-    if !spec.is_empty() {
-        state.m.runs_started.inc();
-        let simulated = catch_unwind(AssertUnwindSafe(|| state.runner.run_spec(&spec)));
-        state.m.runs_finished.inc();
-        let results = simulated.map_err(|_| "batch simulation failed".to_string())?;
-        let mut it = results.into_iter();
-        for ((cell, _), slot) in cells.iter().zip(&mut out) {
-            if slot.is_none() {
-                let r = it.next().expect("run_spec returns one result per cell");
-                cache_insert(state, cell.fingerprint(), Arc::clone(&r));
-                *slot = Some(r);
-            }
-        }
-    }
-    Ok(out.into_iter().map(|r| r.expect("every slot filled")).collect())
 }
 
 /// Inserts a fresh result into the hot-result LRU, counting any eviction.
@@ -1074,43 +1007,30 @@ fn run_coalesced(state: &Arc<State>, cell: &Cell) -> (Result<Arc<SimResult>, Str
 /// response size per connection (the body size cap bounds the wire side).
 pub const MAX_BATCH_CELLS: usize = 64;
 
-/// A parsed, validated `/run` request: one cell, or a batch of cells.
-enum RunPlan {
-    /// The classic single-cell form. Boxed so the enum stays small next
-    /// to the vector-backed batch variant.
-    Single(Box<Cell>, PrefetchSetup),
-    /// The `{"cells":[…]}` batch form, in request order.
-    Batch(Vec<(Cell, PrefetchSetup)>),
+/// A parsed, validated `/run` request: its cells in request order, and
+/// whether it came in the batch form (which only picks the response
+/// shape).
+struct RunPlan {
+    cells: Vec<(Cell, PrefetchSetup)>,
+    batch: bool,
 }
 
 /// Decodes and validates a `/run` body into a [`RunPlan`].
 fn parse_run_plan(body: &str) -> Result<RunPlan, String> {
-    match parse_run_body(body).map_err(|e| format!("bad JSON body: {e}"))? {
-        RunBody::Single(pairs) => {
-            let (cell, arm) = cell_from_pairs(pairs)?;
-            Ok(RunPlan::Single(Box::new(cell), arm))
-        }
-        RunBody::Batch(cells) => {
-            if cells.len() > MAX_BATCH_CELLS {
-                return Err(format!(
-                    "batch too large: {} cells (max {MAX_BATCH_CELLS})",
-                    cells.len()
-                ));
-            }
-            let mut plan = Vec::with_capacity(cells.len());
-            for pairs in cells {
-                plan.push(cell_from_pairs(pairs)?);
-            }
-            Ok(RunPlan::Batch(plan))
-        }
+    let RunBody { cells, batch } =
+        parse_run_body(body).map_err(|e| format!("bad JSON body: {e}"))?;
+    if cells.len() > MAX_BATCH_CELLS {
+        return Err(format!("batch too large: {} cells (max {MAX_BATCH_CELLS})", cells.len()));
     }
+    let cells = cells.into_iter().map(cell_from_pairs).collect::<Result<_, _>>()?;
+    Ok(RunPlan { cells, batch })
 }
 
 /// Decodes one flat cell-spec object into an experiment cell.
 ///
 /// Accepted keys: `workload` (required), `arm` (default `sr`), `scale`
 /// (`test`|`full`, default `test`), `insts` (optional measured-instruction
-/// override).
+/// override, at most the paper's full-scale window).
 fn cell_from_pairs(pairs: Vec<(String, Value)>) -> Result<(Cell, PrefetchSetup), String> {
     let mut workload: Option<String> = None;
     let mut arm = PrefetchSetup::SwSelfRepair;
@@ -1150,22 +1070,32 @@ fn cell_from_pairs(pairs: Vec<(String, Value)>) -> Result<(Cell, PrefetchSetup),
         Scale::Full => SimConfig::paper(arm),
     };
     if let Some(n) = insts {
+        // Bounded so one request cannot pin a worker indefinitely (full
+        // scale runs with no cycle cap).
+        let max = SimConfig::paper(arm).measure_insts;
+        if n > max {
+            return Err(format!("`insts` {n} exceeds the full-scale window of {max}"));
+        }
         cfg.measure_insts = n;
     }
     Ok((Cell::new(workload, scale, cfg), arm))
 }
 
-/// The batch `/run` response body: per-cell results in request order.
-fn batch_json(cells: &[(Cell, PrefetchSetup)], results: &[Arc<SimResult>]) -> String {
-    let mut out = String::from("{\"results\":[");
-    for (i, ((cell, arm), r)) in cells.iter().zip(results).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&result_json(cell, *arm, r, false));
+/// The `/run` response body: the one cell's result object, or
+/// `{"results":[…]}` in request order for a batch (whose entries always
+/// read `"coalesced":0`).
+fn run_json(plan: &RunPlan, results: &[Arc<SimResult>], coalesced: bool) -> String {
+    if !plan.batch {
+        let (cell, arm) = &plan.cells[0];
+        return result_json(cell, *arm, &results[0], coalesced);
     }
-    out.push_str("]}");
-    out
+    let bodies: Vec<String> = plan
+        .cells
+        .iter()
+        .zip(results)
+        .map(|((cell, arm), r)| result_json(cell, *arm, r, false))
+        .collect();
+    format!("{{\"results\":[{}]}}", bodies.join(","))
 }
 
 /// The integer-only `/run` response body.
@@ -1212,7 +1142,7 @@ fn metrics_json(state: &Arc<State>) -> String {
     let m = &state.m;
     let runs_started = m.runs_started.get();
     let runs_finished = m.runs_finished.get();
-    let store = state.runner.backend().map(tdo_sim::StoreBackend::stats);
+    let store = state.runner.store().map(|s| s.stats());
     let store_json = match &store {
         Some(s) => format!(
             ",\"store\":{{\"live_records\":{},\"shadowed_records\":{},\"log_bytes\":{},\

@@ -72,7 +72,7 @@ fn routing_and_error_paths() {
     assert_eq!(client::get(&addr, "/nope").unwrap().status, 404);
     assert_eq!(client::post(&addr, "/health", "").unwrap().status, 405);
 
-    // Bad /run bodies are 400s decided on the worker, never crashes.
+    // Bad /run bodies are 400s decided on the accept thread, never crashes.
     for bad in [
         "",
         "not json",
@@ -82,6 +82,8 @@ fn routing_and_error_paths() {
         r#"{"workload":"mcf","scale":"huge"}"#,
         r#"{"workload":"mcf","insts":"many"}"#,
         r#"{"workload":"mcf","surprise":1}"#,
+        // Past the paper's full-scale window: full scale has no cycle cap.
+        r#"{"workload":"swim","scale":"full","insts":2000001}"#,
     ] {
         let r = post_run(&addr, bad);
         assert_eq!(r.status, 400, "body `{bad}` must be rejected, got {}", r.body);
@@ -91,7 +93,7 @@ fn routing_and_error_paths() {
     assert_eq!(counter(&m, "health"), 1);
     assert_eq!(counter(&m, "workloads"), 1);
     assert_eq!(counter(&m, "not_found"), 1);
-    assert_eq!(counter(&m, "run_rejected"), 8);
+    assert_eq!(counter(&m, "run_rejected"), 9);
     assert_eq!(counter(&m, "run_ok"), 0);
 
     // Extension workloads and the arsenal arms are servable: workload
@@ -105,43 +107,98 @@ fn routing_and_error_paths() {
     t.join().expect("clean shutdown");
 }
 
-#[test]
-fn identical_concurrent_runs_single_flight_into_one_simulation() {
+/// Posts `body` from a leader and, once its simulation is in flight, from
+/// three identical followers. One simulation must answer all four, the
+/// followers coalescing onto the leader's flight. Returns the four bodies.
+fn four_identical_runs(body: &str) -> Vec<String> {
     let (addr, handle, t) = start(4, 8);
+    let post = || {
+        let (addr, body) = (addr.clone(), body.to_string());
+        std::thread::spawn(move || post_run(&addr, &body))
+    };
 
     // Leader first; wait until its simulation is observably in flight.
-    let leader = {
-        let addr = addr.clone();
-        std::thread::spawn(move || post_run(&addr, SLOW_CELL))
-    };
+    let leader = post();
     wait_for(&addr, "leader in flight", |m| counter(m, "runs_inflight") == 1);
 
     // Three identical followers arrive while the leader is simulating.
-    let followers: Vec<_> = (0..3)
-        .map(|_| {
-            let addr = addr.clone();
-            std::thread::spawn(move || post_run(&addr, SLOW_CELL))
-        })
-        .collect();
+    let followers: Vec<_> = (0..3).map(|_| post()).collect();
     wait_for(&addr, "followers coalesced", |m| counter(m, "coalesced") == 3);
 
-    let mut bodies = vec![leader.join().unwrap()];
-    bodies.extend(followers.into_iter().map(|f| f.join().unwrap()));
-    for r in &bodies {
-        assert_eq!(r.status, 200, "{}", r.body);
-    }
-    // All four answers carry the same result.
-    let cycles = counter(&bodies[0].body, "cycles");
-    assert!(cycles > 0);
-    for r in &bodies {
-        assert_eq!(counter(&r.body, "cycles"), cycles);
-    }
+    let bodies = std::iter::once(leader)
+        .chain(followers)
+        .map(|h| {
+            let r = h.join().unwrap();
+            assert_eq!(r.status, 200, "{}", r.body);
+            r.body
+        })
+        .collect();
 
     let m = metrics(&addr);
     assert_eq!(counter(&m, "run_ok"), 4, "{m}");
     assert_eq!(counter(&m, "sims"), 1, "exactly one simulation ran: {m}");
     assert_eq!(counter(&m, "runs_started"), 1, "{m}");
     assert_eq!(counter(&m, "coalesced"), 3, "{m}");
+
+    handle.shutdown();
+    t.join().expect("clean shutdown");
+    bodies
+}
+
+#[test]
+fn identical_concurrent_runs_single_flight_into_one_simulation() {
+    let bodies = four_identical_runs(SLOW_CELL);
+    // All four answers carry the same result.
+    let cycles = counter(&bodies[0], "cycles");
+    assert!(cycles > 0);
+    for body in &bodies {
+        assert_eq!(counter(body, "cycles"), cycles);
+    }
+}
+
+#[test]
+fn identical_concurrent_batches_single_flight_into_one_simulation() {
+    let bodies = four_identical_runs(&format!(r#"{{"cells":[{SLOW_CELL}]}}"#));
+    // Batch entries always read `"coalesced":0`, so one shared result
+    // makes the four answers byte-identical.
+    assert!(bodies[0].contains("\"cycles\":"), "{}", bodies[0]);
+    assert!(bodies.iter().all(|b| *b == bodies[0]), "{bodies:?}");
+}
+
+#[test]
+fn batch_cells_answer_as_single_cells_under_the_request_trace() {
+    let (addr, handle, t) = start(1, 4);
+    let a = r#"{"workload":"swim","arm":"sr","insts":5000}"#;
+    let b = r#"{"workload":"mcf","arm":"none","insts":5000}"#;
+
+    // A cold [A, B, A] batch: its engine cell spans sit under the
+    // response's trace id (the recorder is process-global, so match on
+    // the id), and the repeated cell simulates once.
+    let batch = post_run(&addr, &format!(r#"{{"cells":[{a},{b},{a}]}}"#));
+    assert_eq!(batch.status, 200, "{}", batch.body);
+    let trace = u64::from_str_radix(batch.trace.as_deref().expect("batch trace"), 16).unwrap();
+    let dump = client::get(&addr, "/debug/flight").unwrap().body;
+    let log = tdo_obs::span::parse_flight(&dump).expect("dump parses");
+    assert!(
+        log.iter().any(|r| r.trace == trace && r.kind == tdo_obs::FlightKind::RunCell),
+        "a run_cell record under the batch's trace {trace:#x}"
+    );
+    assert_eq!(counter(&metrics(&addr), "sims"), 2);
+
+    // Each entry is exactly the single-cell answer for its cell.
+    let (ra, rb) = (post_run(&addr, a).body, post_run(&addr, b).body);
+    assert_eq!(batch.body, format!(r#"{{"results":[{ra},{rb},{ra}]}}"#));
+
+    let empty = post_run(&addr, r#"{"cells":[]}"#);
+    assert_eq!((empty.status, empty.body.as_str()), (200, r#"{"results":[]}"#));
+    let too_big = post_run(&addr, &format!(r#"{{"cells":[{}]}}"#, [a; 65].join(",")));
+    assert_eq!(too_big.status, 400, "{}", too_big.body);
+    assert!(too_big.body.contains("max 64"), "{}", too_big.body);
+    // One unknown workload rejects the whole batch before anything runs.
+    let fresh = r#"{"workload":"art","insts":5000}"#;
+    let unknown = post_run(&addr, &format!(r#"{{"cells":[{fresh},{{"workload":"nope"}}]}}"#));
+    assert_eq!(unknown.status, 400, "{}", unknown.body);
+    assert_eq!(counter(&metrics(&addr), "sims"), 2, "nothing simulated");
 
     handle.shutdown();
     t.join().expect("clean shutdown");

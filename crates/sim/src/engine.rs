@@ -29,6 +29,7 @@
 //! assert_eq!(results.len(), 2);
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,7 +39,7 @@ use std::time::Instant;
 use tdo_fault::Site;
 use tdo_mem::ArmKind;
 use tdo_metrics::{Counter, Histogram, Registry};
-use tdo_store::{ShardedStore, Store, StoreStats};
+use tdo_store::{ShardedStore, Store};
 use tdo_workloads::{build, Scale};
 
 use crate::config::SimConfig;
@@ -127,68 +128,17 @@ impl ExperimentSpec {
     }
 }
 
-/// The persistence layer behind a [`Runner`]: one store directory, or N
-/// consistent-hash shards routed by fingerprint (the serving tier's
-/// layout). Both expose the same keyed get/put contract; the engine never
-/// cares which it has.
-#[derive(Clone, Debug)]
-pub enum StoreBackend {
-    /// A single store directory.
-    Single(Arc<Store>),
-    /// N shard directories routed by a consistent-hash ring.
-    Sharded(Arc<ShardedStore>),
-}
-
-impl StoreBackend {
-    /// Routed read (see [`Store::get`]).
-    #[must_use]
-    pub fn get(&self, key: u64, version: u32) -> Option<Vec<u64>> {
-        match self {
-            StoreBackend::Single(s) => s.get(key, version),
-            StoreBackend::Sharded(s) => s.get(key, version),
-        }
-    }
-
-    /// Routed write (see [`Store::put`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the owning store's append.
-    pub fn put(&self, key: u64, version: u32, payload: &[u64]) -> std::io::Result<()> {
-        match self {
-            StoreBackend::Single(s) => s.put(key, version, payload),
-            StoreBackend::Sharded(s) => s.put(key, version, payload),
-        }
-    }
-
-    /// Statistics, aggregated across shards for a sharded backend.
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        match self {
-            StoreBackend::Single(s) => s.stats(),
-            StoreBackend::Sharded(s) => s.stats(),
-        }
-    }
-
-    /// Registers the backend's `tdo_store_*` families with `reg` — plain
-    /// for a single store, labeled `{shard="s"}` per shard when sharded.
-    pub fn register_metrics(&self, reg: &Registry) {
-        match self {
-            StoreBackend::Single(s) => s.register_metrics(reg),
-            StoreBackend::Sharded(s) => s.register_metrics(reg),
-        }
-    }
-}
-
 /// Executes cells in parallel and memoizes their results for the lifetime of
 /// the runner — and, when a persistent store is attached, across processes:
 /// lookups read through the in-memory cache to the store, and fresh
 /// simulations write through to it, so a warm store makes repeat sweeps
-/// perform zero simulations.
+/// perform zero simulations. The store is a [`ShardedStore`] whether it
+/// has one shard (a plain store directory) or many (the serving tier's
+/// layout); the engine never cares which.
 pub struct Runner {
     jobs: usize,
     cache: Mutex<HashMap<String, Arc<SimResult>>>,
-    store: Option<StoreBackend>,
+    store: Option<Arc<ShardedStore>>,
     sims: Arc<Counter>,
     store_hits: Arc<Counter>,
     store_misses: Arc<Counter>,
@@ -238,33 +188,20 @@ impl Runner {
 
     /// Creates a runner backed by an explicit persistent store.
     #[must_use]
-    pub fn with_store(jobs: usize, store: Arc<Store>) -> Runner {
-        Runner::with_backend(jobs, StoreBackend::Single(store))
+    pub fn with_store(jobs: usize, store: Arc<ShardedStore>) -> Runner {
+        Runner { store: Some(store), ..Runner::new(jobs) }
     }
 
-    /// Creates a runner backed by a sharded store (the serving tier's
-    /// layout: fingerprints routed across N shard directories).
+    /// Creates a runner over `shards` shards (`<= 1` = the root itself; see
+    /// [`ShardedStore::open`]) at the default store location:
+    /// `dir_override` (`--store-dir`), else the `TDO_STORE` environment
+    /// variable, else `.tdo-store/`. An unopenable store degrades to a
+    /// storeless runner with a warning — persistence is an accelerator,
+    /// never a blocker.
     #[must_use]
-    pub fn with_sharded_store(jobs: usize, store: Arc<ShardedStore>) -> Runner {
-        Runner::with_backend(jobs, StoreBackend::Sharded(store))
-    }
-
-    /// Creates a runner over an explicit persistence backend.
-    #[must_use]
-    pub fn with_backend(jobs: usize, backend: StoreBackend) -> Runner {
-        let mut runner = Runner::new(jobs);
-        runner.store = Some(backend);
-        runner
-    }
-
-    /// Creates a runner over the default store location: `dir_override`
-    /// (`--store-dir`), else the `TDO_STORE` environment variable, else
-    /// `.tdo-store/`. An unopenable store degrades to a storeless runner
-    /// with a warning — persistence is an accelerator, never a blocker.
-    #[must_use]
-    pub fn with_default_store(jobs: usize, dir_override: Option<&str>) -> Runner {
+    pub fn with_default_store(jobs: usize, dir_override: Option<&str>, shards: usize) -> Runner {
         let dir = Store::resolve_dir(dir_override);
-        match Store::open(&dir) {
+        match ShardedStore::open(&dir, shards) {
             Ok(store) => Runner::with_store(jobs, Arc::new(store)),
             Err(e) => {
                 tdo_obs::logline::log(
@@ -284,19 +221,9 @@ impl Runner {
         self.jobs
     }
 
-    /// The attached single-directory store, if any. A sharded backend
-    /// returns `None` here — use [`Runner::backend`] for the general view.
+    /// The attached persistent store, if any.
     #[must_use]
-    pub fn store(&self) -> Option<&Arc<Store>> {
-        match self.store.as_ref()? {
-            StoreBackend::Single(s) => Some(s),
-            StoreBackend::Sharded(_) => None,
-        }
-    }
-
-    /// The attached persistence backend, if any.
-    #[must_use]
-    pub fn backend(&self) -> Option<&StoreBackend> {
+    pub fn store(&self) -> Option<&Arc<ShardedStore>> {
         self.store.as_ref()
     }
 
@@ -468,9 +395,9 @@ impl Runner {
         self.failed.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Store read-through: on a hit, decodes and promotes the result into
-    /// the memo cache.
-    fn recall_store(&self, key: &str) -> Option<Arc<SimResult>> {
+    /// Store read-through: decodes the stored result for `key`, counting
+    /// the hit or miss.
+    fn recall_store(&self, key: &str) -> Option<SimResult> {
         let store = self.store.as_ref()?;
         if tdo_fault::fire_keyed(Site::EngineStoreDegrade, fingerprint_hash(key)).is_some() {
             // Injected read-path degrade: behave exactly like a miss so the
@@ -482,26 +409,9 @@ impl Runner {
         let hit = store
             .get(tdo_rand::fnv1a64(key.as_bytes()), persist::SCHEMA_VERSION)
             .and_then(|payload| persist::decode_result(&payload));
-        match hit {
-            Some(result) => {
-                self.store_hits.inc();
-                let r = Arc::new(result);
-                let mut cache = self.lock_cache();
-                match cache.entry(key.to_string()) {
-                    std::collections::hash_map::Entry::Occupied(e) => Some(Arc::clone(e.get())),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        // First time this fingerprint enters the cache:
-                        // fold its queue totals in exactly once.
-                        self.account_result(&r);
-                        Some(Arc::clone(v.insert(r)))
-                    }
-                }
-            }
-            None => {
-                self.store_misses.inc();
-                None
-            }
-        }
+        let counter = if hit.is_some() { &self.store_hits } else { &self.store_misses };
+        counter.inc();
+        hit
     }
 
     /// Store write-through: persists a freshly simulated result. I/O errors
@@ -541,29 +451,35 @@ impl Runner {
     pub fn run_cell(&self, cell: &Cell) -> Arc<SimResult> {
         let key = cell.fingerprint();
         let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::RunCell, fingerprint_hash(&key));
+        self.resolve(cell, key)
+    }
+
+    /// The one resolve step behind [`Runner::run_cell`] and
+    /// [`Runner::run_spec`]: memo cache, then store, then a fresh
+    /// simulation persisted to the store, then a memo insert. Only the
+    /// insert that fills a vacant slot folds the result into the registry
+    /// counters, so racing resolvers of one cell count it once.
+    fn resolve(&self, cell: &Cell, key: String) -> Arc<SimResult> {
         if let Some(r) = self.lock_cache().get(&key) {
             return Arc::clone(r);
         }
-        if let Some(r) = self.recall_store(&key) {
-            return r;
-        }
-        let r = Arc::new(self.simulate_timed(cell));
-        self.persist(&key, &r);
-        let mut cache = self.lock_cache();
-        match cache.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
-            std::collections::hash_map::Entry::Vacant(v) => {
+        let r = self.recall_store(&key).unwrap_or_else(|| {
+            let r = self.simulate_timed(cell, &key);
+            self.persist(&key, &r);
+            r
+        });
+        match self.lock_cache().entry(key) {
+            Entry::Occupied(e) => Arc::clone(e.get()),
+            Entry::Vacant(v) => {
                 self.account_result(&r);
-                Arc::clone(v.insert(r))
+                Arc::clone(v.insert(Arc::new(r)))
             }
         }
     }
 
     /// Runs one fresh simulation, counting it and timing its wall clock.
-    fn simulate_timed(&self, cell: &Cell) -> SimResult {
-        if tdo_fault::fire_keyed(Site::EngineCellPanic, fingerprint_hash(&cell.fingerprint()))
-            .is_some()
-        {
+    fn simulate_timed(&self, cell: &Cell, key: &str) -> SimResult {
+        if tdo_fault::fire_keyed(Site::EngineCellPanic, fingerprint_hash(key)).is_some() {
             panic!("injected cell panic: `{}`", cell.workload);
         }
         self.sims.inc();
@@ -609,27 +525,17 @@ impl Runner {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(cell) = pending.get(i) else { break };
                         let key = cell.fingerprint();
-                        let _span = tdo_obs::SpanScope::enter(
-                            tdo_obs::FlightKind::RunCell,
-                            fingerprint_hash(&key),
-                        );
-                        if let Some(token) =
-                            tdo_fault::fire_keyed(Site::EngineHelperJitter, fingerprint_hash(&key))
-                        {
+                        let hash = fingerprint_hash(&key);
+                        let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::RunCell, hash);
+                        if let Some(token) = tdo_fault::fire_keyed(Site::EngineHelperJitter, hash) {
                             // Injected helper-job delay: perturbs scheduling
                             // only; results must stay byte-identical.
                             std::thread::sleep(std::time::Duration::from_micros(token % 1_500));
                         }
-                        if self.recall_store(&key).is_some() {
-                            continue;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| self.simulate_timed(cell))) {
-                            Ok(result) => {
-                                self.persist(&key, &result);
-                                self.account_result(&result);
-                                self.lock_cache().insert(key, Arc::new(result));
-                            }
-                            Err(_) => self.lock_failed().push(key),
+                        let resolved =
+                            catch_unwind(AssertUnwindSafe(|| self.resolve(cell, key.clone())));
+                        if resolved.is_err() {
+                            self.lock_failed().push(key);
                         }
                     });
                 }

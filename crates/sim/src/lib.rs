@@ -29,7 +29,7 @@ pub mod result;
 pub mod timeline;
 
 pub use config::{policy_candidates, JobCostModel, PolicyConfig, PrefetchSetup, SimConfig};
-pub use engine::{Cell, ExperimentSpec, Runner, StoreBackend};
+pub use engine::{Cell, ExperimentSpec, Runner};
 pub use machine::{run, run_profiled, run_traced, Machine};
 pub use persist::{cell_key, decode_result, encode_result, SCHEMA_VERSION};
 pub use profile::{MachineProfile, MachineProfiler};

@@ -67,3 +67,30 @@ fn spec_results_match_cell_order_across_shared_arms() {
     assert_eq!(runner.cells_cached(), 2, "two unique cells simulated");
     assert_ne!(render(&rs[0]), render(&rs[1]));
 }
+
+#[test]
+fn racing_specs_fold_one_cell_into_the_counters_once() {
+    // Two threads `run_spec` the same uncached cell at once on one runner:
+    // both may simulate it, but the registry counters must read as for a
+    // single run, and the memo holds the cell once.
+    let c = cell("mcf", PrefetchSetup::SwSelfRepair);
+    let single = Runner::new(1);
+    let _ = single.run_cell(&c);
+    let counts = |r: &Runner| (r.events_queued(), r.events_dropped(), r.arm_switches());
+    assert!(single.events_queued() > 0, "the cell must queue events to count");
+
+    let runner = Runner::new(1);
+    let mut spec = ExperimentSpec::new();
+    spec.push(c);
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                barrier.wait();
+                let _ = runner.run_spec(&spec);
+            });
+        }
+    });
+    assert_eq!(counts(&runner), counts(&single));
+    assert_eq!(runner.cells_cached(), 1);
+}

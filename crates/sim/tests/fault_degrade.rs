@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use tdo_fault::{arm, FaultPlan, Site};
 use tdo_sim::{Cell, ExperimentSpec, PrefetchSetup, Runner, SimConfig, SimResult};
-use tdo_store::Store;
+use tdo_store::ShardedStore;
 use tdo_workloads::Scale;
 
 struct TempDir(PathBuf);
@@ -59,7 +59,7 @@ fn store_write_failures_degrade_the_run_to_memo_only() {
     };
 
     let dir = TempDir::new();
-    let store = Arc::new(Store::open(dir.path()).expect("open scratch store"));
+    let store = Arc::new(ShardedStore::open(dir.path(), 1).expect("open scratch store"));
     let runner = Runner::with_store(1, Arc::clone(&store));
     {
         let guard = arm(FaultPlan::new(4)

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tdo_sim::{Cell, ExperimentSpec, PrefetchSetup, Runner, SimConfig};
-use tdo_store::Store;
+use tdo_store::ShardedStore;
 use tdo_workloads::Scale;
 
 /// A unique scratch directory per test, removed on drop.
@@ -28,8 +28,9 @@ impl TestDir {
         TestDir(dir)
     }
 
-    fn path(&self) -> &std::path::Path {
-        &self.0
+    /// A fresh handle on the unsharded store in this directory.
+    fn store(&self) -> Arc<ShardedStore> {
+        Arc::new(ShardedStore::open(&self.0, 1).unwrap())
     }
 }
 
@@ -64,7 +65,7 @@ fn second_runner_over_a_warm_store_performs_zero_simulations() {
     let dir = TestDir::new("warm");
     let spec = quick_spec();
 
-    let cold = Runner::with_store(2, Arc::new(Store::open(dir.path()).unwrap()));
+    let cold = Runner::with_store(2, dir.store());
     let cold_results = cold.run_spec(&spec);
     assert_eq!(cold.sims_run(), 4, "four unique cells simulate cold");
     assert_eq!(cold.store_hits(), 0);
@@ -73,7 +74,7 @@ fn second_runner_over_a_warm_store_performs_zero_simulations() {
 
     // A brand-new runner (fresh memo cache, fresh process in spirit) over
     // the same directory.
-    let warm = Runner::with_store(2, Arc::new(Store::open(dir.path()).unwrap()));
+    let warm = Runner::with_store(2, dir.store());
     let warm_results = warm.run_spec(&spec);
     assert_eq!(warm.sims_run(), 0, "warm store serves every cell");
     assert_eq!(warm.store_hits(), 4);
@@ -92,7 +93,7 @@ fn run_cell_reads_through_and_writes_through() {
     let dir = TestDir::new("cell");
     let cell = quick_cell("art", PrefetchSetup::Hw8x8);
 
-    let first = Runner::with_store(1, Arc::new(Store::open(dir.path()).unwrap()));
+    let first = Runner::with_store(1, dir.store());
     let a = first.run_cell(&cell);
     assert_eq!((first.sims_run(), first.store_hits(), first.store_misses()), (1, 0, 1));
     // Second ask in the same process is a memo hit, not a store hit.
@@ -100,7 +101,7 @@ fn run_cell_reads_through_and_writes_through() {
     assert!(Arc::ptr_eq(&a, &b));
     assert_eq!((first.sims_run(), first.store_hits(), first.store_misses()), (1, 0, 1));
 
-    let second = Runner::with_store(1, Arc::new(Store::open(dir.path()).unwrap()));
+    let second = Runner::with_store(1, dir.store());
     let c = second.run_cell(&cell);
     assert_eq!((second.sims_run(), second.store_hits(), second.store_misses()), (0, 1, 0));
     assert_eq!(format!("{a:?}"), format!("{c:?}"));
@@ -120,7 +121,7 @@ fn storeless_runner_has_no_summary() {
 #[test]
 fn a_panicking_cell_does_not_cascade_or_poison_the_runner() {
     let dir = TestDir::new("panic");
-    let runner = Runner::with_store(2, Arc::new(Store::open(dir.path()).unwrap()));
+    let runner = Runner::with_store(2, dir.store());
 
     let good = quick_cell("mcf", PrefetchSetup::NoPrefetch);
     let bad = quick_cell("no-such-workload", PrefetchSetup::NoPrefetch);
@@ -145,7 +146,7 @@ fn a_panicking_cell_does_not_cascade_or_poison_the_runner() {
     assert_eq!(runner.sims_run(), 2, "good cell is served from the memo cache");
 
     // The good result survived to disk despite its sibling's panic.
-    let fresh = Runner::with_store(1, Arc::new(Store::open(dir.path()).unwrap()));
+    let fresh = Runner::with_store(1, dir.store());
     let _ = fresh.run_cell(&good);
     assert_eq!((fresh.sims_run(), fresh.store_hits()), (0, 1));
 }

@@ -1,8 +1,9 @@
 //! Consistent-hash sharding of store keys across N shard directories.
 //!
 //! The serving tier splits the result store into `N` independent
-//! [`Store`]s — `root/shard-000`, `root/shard-001`, … — and routes every
-//! key through a [`ShardMap`]: a consistent-hash ring with
+//! [`Store`]s — `root/shard-000`, `root/shard-001`, … (one shard is `root`
+//! itself, the unsharded layout) — and routes every key through a
+//! [`ShardMap`]: a consistent-hash ring with
 //! [`ShardMap::POINTS_PER_SHARD`] virtual points per shard. Routing is a
 //! pure function of `(key, map)` — no clocks, no per-process state — so
 //! the same fingerprint lands on the same shard on every run, every
@@ -84,12 +85,14 @@ impl ShardMap {
     }
 }
 
-/// N independent [`Store`]s under one root, routed by a [`ShardMap`].
+/// N independent [`Store`]s under one root, routed by a [`ShardMap`] —
+/// the one store type the engine holds.
 ///
-/// Shard `s` lives in `root/shard-{s:03}`. The sharded store exposes the
-/// same `get`/`put` contract as a single store; `stats` aggregates across
-/// shards and `register_metrics` registers every shard's families labeled
-/// `{shard="s"}` so the exposition tells shards apart.
+/// With `n >= 2` shards, shard `s` lives in `root/shard-{s:03}`; with one,
+/// the single shard is `root` itself (the unsharded layout). `get`/`put`
+/// route to the owning shard, `stats` aggregates across shards, and
+/// `register_metrics` labels every shard's families `{shard="s"}` so the
+/// exposition tells them apart (one shard registers unlabeled).
 #[derive(Debug)]
 pub struct ShardedStore {
     root: PathBuf,
@@ -98,22 +101,27 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Opens (creating if necessary) `n` shards under `root`.
+    /// Opens (creating if necessary) `n` shards under `root`; `n <= 1`
+    /// opens `root` itself as the one shard.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error opening any shard directory.
     pub fn open(root: impl AsRef<Path>, n: usize) -> io::Result<ShardedStore> {
         let root = root.as_ref().to_path_buf();
-        let map = ShardMap::new(n);
-        let mut shards = Vec::with_capacity(n);
-        for s in 0..n {
-            shards.push(Arc::new(Store::open(root.join(format!("shard-{s:03}")))?));
-        }
-        Ok(ShardedStore { root, map, shards })
+        let n = n.max(1);
+        let shards = if n == 1 {
+            vec![Arc::new(Store::open(&root)?)]
+        } else {
+            (0..n)
+                .map(|s| Store::open(root.join(format!("shard-{s:03}"))).map(Arc::new))
+                .collect::<io::Result<_>>()?
+        };
+        Ok(ShardedStore { root, map: ShardMap::new(n), shards })
     }
 
-    /// The root directory holding the shard subdirectories.
+    /// The root directory: the parent of the shard subdirectories, or the
+    /// one shard itself.
     #[must_use]
     pub fn root(&self) -> &Path {
         &self.root
@@ -125,14 +133,11 @@ impl ShardedStore {
         &self.map
     }
 
-    /// The shard store at index `i` (for tests and per-shard inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
+    /// The shard stores, indexed by shard (for per-shard maintenance and
+    /// inspection).
     #[must_use]
-    pub fn shard(&self, i: usize) -> &Arc<Store> {
-        &self.shards[i]
+    pub fn shards(&self) -> &[Arc<Store>] {
+        &self.shards
     }
 
     /// Total live records across all shards.
@@ -204,16 +209,14 @@ impl ShardedStore {
         SizeStats { per_generation: per.into_values().collect(), record_bytes }
     }
 
-    /// Per-shard statistics, indexed by shard.
-    #[must_use]
-    pub fn per_shard_stats(&self) -> Vec<StoreStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
-    }
-
     /// Registers every shard's instruments with `reg` under the
-    /// `tdo_store_*` families, labeled `{shard="s"}`. Call at most once
-    /// per registry.
+    /// `tdo_store_*` families, labeled `{shard="s"}` — or unlabeled for
+    /// the one shard of an unsharded store. Call at most once per
+    /// registry.
     pub fn register_metrics(&self, reg: &Registry) {
+        if let [only] = self.shards.as_slice() {
+            return only.register_metrics(reg);
+        }
         for (i, s) in self.shards.iter().enumerate() {
             let label = i.to_string();
             s.register_metrics_labeled(reg, &[("shard", &label)]);
@@ -264,7 +267,22 @@ mod tests {
         assert_eq!(st.puts, 64);
         assert_eq!(st.hits, 64);
         // Keys actually spread: no shard holds everything.
-        assert!(ss.per_shard_stats().iter().all(|s| s.live_records < 64));
+        assert!(ss.shards().iter().all(|s| s.stats().live_records < 64));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_shard_is_the_root_itself() {
+        let dir = std::env::temp_dir().join(format!("tdo-shard-one-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ss = ShardedStore::open(&dir, 1).unwrap();
+        ss.put(7, 1, &[42]).unwrap();
+        // The unsharded layout: a plain store at the root, unlabeled metrics.
+        assert!(!dir.join("shard-000").exists());
+        assert_eq!(Store::open(&dir).unwrap().get(7, 1), Some(vec![42]));
+        let reg = Registry::new();
+        ss.register_metrics(&reg);
+        assert!(reg.render_prom().contains("\ntdo_store_puts_total 1\n"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
