@@ -31,7 +31,7 @@
 //! admission control the tier sheds, it never loses an acked request.
 
 use std::fmt::Write as _;
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Write as _};
 use std::net::{TcpStream, ToSocketAddrs as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -283,9 +283,7 @@ fn slow_post(addr: &str, path: &str, body: &str) -> io::Result<Response> {
     std::thread::sleep(Duration::from_millis(2));
     stream.write_all(&body.as_bytes()[split..])?;
     stream.flush()?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    client::parse_response(&raw)
+    client::read_response(&mut stream)
 }
 
 /// Shared tallies the worker threads update.

@@ -5,7 +5,7 @@
 use std::fs;
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::{Child, Command, Output, Stdio};
+use std::process::{Child, Command, ExitStatus, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -69,9 +69,9 @@ fn ok(args: &[&str]) -> String {
     stdout_of(&out)
 }
 
-#[test]
-fn serve_and_ping_round_trip() {
-    let store = TestDir::new("serve");
+/// Spawns `tdo serve` on an ephemeral port over `store` and returns it with
+/// the address it announces on its first stdout line.
+fn spawn_serve(store: &TestDir) -> (ChildGuard, String) {
     let mut child = ChildGuard(
         Command::new(TDO)
             .args([
@@ -90,8 +90,6 @@ fn serve_and_ping_round_trip() {
             .spawn()
             .expect("spawn tdo serve"),
     );
-
-    // The daemon announces its (ephemeral) address on the first stdout line.
     let mut banner = String::new();
     let mut stdout = BufReader::new(child.0.stdout.take().expect("stdout piped"));
     stdout.read_line(&mut banner).expect("read banner");
@@ -101,6 +99,32 @@ fn serve_and_ping_round_trip() {
         .and_then(|rest| rest.split_whitespace().next())
         .unwrap_or_else(|| panic!("no address in banner: {banner:?}"))
         .to_string();
+    (child, addr)
+}
+
+/// Waits up to `within` for the daemon to exit on its own.
+fn wait_for_exit(child: &mut ChildGuard, within: Duration, after: &str) -> ExitStatus {
+    let deadline = Instant::now() + within;
+    loop {
+        if let Some(status) = child.0.try_wait().expect("try_wait") {
+            return status;
+        }
+        assert!(Instant::now() < deadline, "daemon did not exit within {within:?} after {after}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The daemon's whole stderr (read once it has exited).
+fn stderr_of(child: &mut ChildGuard) -> String {
+    let mut text = String::new();
+    let _ = child.0.stderr.take().expect("stderr piped").read_to_string(&mut text);
+    text
+}
+
+#[test]
+fn serve_and_ping_round_trip() {
+    let store = TestDir::new("serve");
+    let (mut child, addr) = spawn_serve(&store);
 
     // Liveness (every GET ping reports its round-trip time), then the
     // suite listing.
@@ -152,18 +176,10 @@ fn serve_and_ping_round_trip() {
 
     // Graceful stop; the daemon must exit cleanly on its own.
     assert!(ok(&["ping", &addr, "--shutdown"]).contains("shutting_down"));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = child.0.try_wait().expect("try_wait") {
-            break status;
-        }
-        assert!(Instant::now() < deadline, "daemon did not exit after /shutdown");
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let status = wait_for_exit(&mut child, Duration::from_secs(30), "/shutdown");
     assert!(status.success(), "daemon exit status: {status:?}");
 
-    let mut stderr_text = String::new();
-    let _ = child.0.stderr.take().expect("stderr piped").read_to_string(&mut stderr_text);
+    let stderr_text = stderr_of(&mut child);
     assert!(stderr_text.contains("shut down cleanly"), "{stderr_text}");
     assert!(stderr_text.contains("store: hits=0 misses=1 sims=1"), "{stderr_text}");
 
@@ -176,6 +192,23 @@ fn serve_and_ping_round_trip() {
     assert!(stats.contains("live records       1"), "{stats}");
     assert!(stats.contains("v3"), "{stats}");
     assert!(stats.contains("record bytes       mean"), "{stats}");
+}
+
+#[test]
+fn sigint_stops_the_daemon_cleanly() {
+    // The signal cannot wake the accept thread's blocking `accept`; the
+    // health ticker must notice it and forward it as a shutdown request.
+    let store = TestDir::new("sigint");
+    let (mut child, addr) = spawn_serve(&store);
+    assert!(ok(&["ping", &addr]).contains("\"status\":\"ok\""));
+
+    let pid = child.0.id().to_string();
+    let kill = Command::new("/usr/bin/kill").args(["-INT", &pid]).status().expect("run kill");
+    assert!(kill.success(), "kill -INT {pid}: {kill:?}");
+    let status = wait_for_exit(&mut child, Duration::from_secs(5), "SIGINT");
+    assert!(status.success(), "daemon exit status: {status:?}");
+    let stderr_text = stderr_of(&mut child);
+    assert!(stderr_text.contains("shut down cleanly"), "{stderr_text}");
 }
 
 #[test]

@@ -6,17 +6,20 @@
 //! simulating on miss and writing the result through so the next client is
 //! a cache hit.
 //!
-//! **Architecture.** One accept thread parses each request and answers the
-//! cheap read-only endpoints (`/health`, `/metrics`, `/workloads`) inline;
-//! `POST /run` is handed to a small fixed pool of worker threads through a
-//! bounded queue. When the queue is full the accept thread sheds the
-//! request with an explicit `503` instead of letting latency collapse.
-//! Identical cells requested concurrently — alone or inside batches — are
-//! *single-flighted*: the first request simulates, the rest wait on the
-//! same flight and share the one result. A `tdo-health` thread ticks the
-//! [`health`] plane every 100 ms. `SIGINT`/ctrl-C (or `POST /shutdown`)
-//! stops accepting, drains the queue, finishes in-flight simulations and
-//! exits cleanly.
+//! **Architecture.** One accept thread sleeps in a blocking `accept`,
+//! parses each request and answers the cheap read-only endpoints
+//! (`/health`, `/metrics`, `/workloads`) inline; `POST /run` is handed to a
+//! small fixed pool of worker threads through a bounded queue. When the
+//! queue is full the accept thread sheds the request with an explicit
+//! `503` instead of letting latency collapse. Identical cells requested
+//! concurrently — alone or inside batches — are *single-flighted*: the
+//! first request simulates, the rest wait on the same flight and share the
+//! one result. A `tdo-health` thread ticks the [`health`] plane every
+//! 100 ms. `POST /shutdown` (or a [`ServerHandle`]) wakes the accept thread
+//! with a loopback connection to the listener; a `SIGINT`/ctrl-C only sets
+//! a flag, which the health thread notices within one tick and forwards
+//! the same way. The server then stops accepting, drains the queue,
+//! finishes in-flight simulations and exits cleanly.
 //!
 //! | Endpoint | Served by | Behaviour |
 //! |---|---|---|
@@ -57,7 +60,7 @@ pub mod lru;
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -68,8 +71,8 @@ use tdo_metrics::{Counter, Gauge, Histogram, Registry};
 use tdo_obs::json::{escape, Value};
 use tdo_obs::span::{self, OpenSpan};
 use tdo_obs::{FlightKind, TraceCtx, TraceIdGen};
-use tdo_sim::{Cell, PrefetchSetup, Runner, SimConfig, SimResult};
-use tdo_workloads::{build, names, Scale};
+use tdo_sim::{cell_key, Cell, PrefetchSetup, Runner, SimConfig, SimResult};
+use tdo_workloads::{build, is_known, names, Scale};
 
 use admission::{Admission, Admit};
 use http::{read_request, write_response, write_response_typed, Request};
@@ -79,8 +82,8 @@ use lru::Lru;
 /// Default listen address for `tdo serve`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7077";
 
-/// Set by the SIGINT handler; honoured by every running server's accept
-/// loop.
+/// Set by the SIGINT handler; every running server's health ticker turns
+/// it into a shutdown request.
 static SIGINT_SEEN: AtomicBool = AtomicBool::new(false);
 
 /// Installs a process-wide SIGINT (ctrl-C) handler that asks every running
@@ -150,6 +153,14 @@ const TRACE_SEED: u64 = 0x7d0_5eed;
 
 /// Interval between health ticks on the `tdo-health` thread.
 const HEALTH_TICK: Duration = Duration::from_millis(100);
+
+/// Pause after a failed `accept` (e.g. out of file descriptors), so the
+/// accept thread does not spin on a persistent error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Bound on the loopback connect that wakes the accept thread for a
+/// shutdown (a full listen backlog drops SYNs instead of refusing them).
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// One queued `/run` request: the connection, the plan the accept thread
 /// parsed from its body, the instant the request was read (latency
@@ -399,12 +410,17 @@ struct State {
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     queue_cap: usize,
-    inflight: Mutex<HashMap<String, Arc<Flight>>>,
-    /// Hot-result LRU in front of the store (`None` = disabled).
-    cache: Option<Mutex<Lru<String, Arc<SimResult>>>>,
+    /// Single-flight slots by [`cell_key`].
+    inflight: Mutex<HashMap<u64, Arc<Flight>>>,
+    /// Hot-result LRU in front of the store, by [`cell_key`] (`None` =
+    /// disabled).
+    cache: Option<Mutex<Lru<u64, Arc<SimResult>>>>,
     /// Watchdog-aware queue admission.
     admission: Admission,
     shutdown: AtomicBool,
+    /// Where a shutdown request connects to wake the blocking `accept`:
+    /// the listener's address, with loopback for an unspecified bind.
+    wake_addr: SocketAddr,
     /// Wakes the health ticker early on shutdown (the mutex only pairs
     /// with the condvar).
     ticker: (Mutex<()>, Condvar),
@@ -450,13 +466,24 @@ impl State {
         self.shutdown.load(Ordering::SeqCst) || SIGINT_SEEN.load(Ordering::SeqCst)
     }
 
+    /// Flags shutdown and wakes every thread that waits for it: the
+    /// workers, the health ticker and the accept thread. Only the first
+    /// call does anything.
     fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
         self.queue_cv.notify_all();
-        // Taking the ticker's lock orders this store before its next
-        // predicate check, so the wake-up cannot be lost.
-        let _guard = relock(&self.ticker.0);
-        self.ticker.1.notify_all();
+        {
+            // Taking the ticker's lock orders this store before its next
+            // predicate check, so the wake-up cannot be lost.
+            let _guard = relock(&self.ticker.0);
+            self.ticker.1.notify_all();
+        }
+        // Only a connection wakes a blocking `accept`; the accept loop
+        // sees the flag before it would serve this one. If the connect
+        // fails, the next client's connection wakes it instead.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
     }
 }
 
@@ -467,7 +494,8 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A handle for asking a running server to stop (used by tests and the
-/// `/shutdown` endpoint; ctrl-C does the same through the signal handler).
+/// `/shutdown` endpoint; the health ticker makes the same request for
+/// ctrl-C).
 #[derive(Clone)]
 pub struct ServerHandle {
     state: Arc<State>,
@@ -497,6 +525,14 @@ impl Server {
     /// without one (a warning is printed), matching the engine's behaviour.
     pub fn bind(cfg: &ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            let loopback: IpAddr = match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            };
+            wake_addr.set_ip(loopback);
+        }
         let runner = if cfg.no_store {
             Runner::new(1)
         } else {
@@ -535,6 +571,7 @@ impl Server {
             cache: (cfg.cache > 0).then(|| Mutex::new(Lru::new(cfg.cache))),
             admission: Admission::new(),
             shutdown: AtomicBool::new(false),
+            wake_addr,
             ticker: (Mutex::new(()), Condvar::new()),
             registry,
             m,
@@ -554,7 +591,7 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the socket-name lookup error.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -570,10 +607,10 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns listener configuration errors; per-connection errors are
-    /// absorbed (logged as 400s in the metrics where attributable).
+    /// None at present: a failed `accept` backs off and retries, and
+    /// per-connection errors are absorbed (counted as 400s in the metrics
+    /// where attributable).
     pub fn run(&self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let mut threads = Vec::with_capacity(self.workers + 1);
         for i in 0..self.workers {
             let state = Arc::clone(&self.state);
@@ -589,11 +626,18 @@ impl Server {
             .spawn(move || ticker_loop(&state))
             .expect("spawn health ticker thread");
         threads.push(ticker);
-        // The non-blocking poll only bounds how long a shutdown (SIGINT
-        // included) waits to be noticed; health ticks run on their own
-        // thread.
+        // `accept` blocks until a client connects or a shutdown request
+        // connects to wake it (see `State::request_shutdown`); health
+        // ticks run on their own thread.
         while !self.state.shutting_down() {
-            match self.listener.accept() {
+            let accepted = self.listener.accept();
+            // Checked before anything is counted, so the wake-up
+            // connection mints no trace, hits no fault site and moves no
+            // metric.
+            if self.state.shutting_down() {
+                break;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
                     if tdo_fault::fire(Site::ServerAcceptFail).is_some() {
                         // Injected accept failure: the connection dies
@@ -604,7 +648,7 @@ impl Server {
                     }
                     handle_connection(&self.state, stream);
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         }
         // Stop the pool and the ticker: workers drain the queue, then exit.
@@ -624,7 +668,10 @@ impl Server {
 }
 
 /// The `tdo-health` thread: one [`health_tick`] every [`HEALTH_TICK`]
-/// until shutdown, which wakes it at once.
+/// until shutdown, which wakes it at once. A SIGINT only sets a flag, and
+/// the signal cannot wake the blocking `accept` (std retries it on
+/// `EINTR`): the ticker sees the flag within one tick and forwards it as a
+/// shutdown request.
 fn ticker_loop(state: &Arc<State>) {
     let (lock, cv) = &state.ticker;
     let mut guard = relock(lock);
@@ -632,10 +679,12 @@ fn ticker_loop(state: &Arc<State>) {
         let (g, wait) = cv
             .wait_timeout_while(guard, HEALTH_TICK, |()| !state.shutting_down())
             .unwrap_or_else(PoisonError::into_inner);
+        drop(g);
         if !wait.timed_out() {
+            // After the guard is dropped: this takes the ticker's lock.
+            state.request_shutdown();
             return;
         }
-        drop(g);
         health_tick(state);
         guard = relock(lock);
     }
@@ -663,7 +712,6 @@ fn health_tick(state: &Arc<State>) {
 /// Routes one parsed connection. Cheap endpoints answer inline; `/run`
 /// goes through the bounded queue to the worker pool.
 fn handle_connection(state: &Arc<State>, mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let t0 = Instant::now();
@@ -820,7 +868,7 @@ fn serve_from_cache(state: &Arc<State>, plan: &RunPlan) -> Option<String> {
     let cache = state.cache.as_ref()?;
     let results = {
         let mut c = relock(cache);
-        plan.cells.iter().map(|(cell, _)| c.get(&cell.fingerprint())).collect::<Option<Vec<_>>>()?
+        plan.cells.iter().map(|p| c.get(&p.key)).collect::<Option<Vec<_>>>()?
     };
     state.m.cache_hits.add(results.len() as u64);
     Some(run_json(plan, &results, false))
@@ -911,8 +959,8 @@ fn serve_run(state: &Arc<State>, stream: &mut TcpStream, plan: &RunPlan, t0: Ins
     let results: Result<Vec<_>, String> = plan
         .cells
         .iter()
-        .map(|(cell, _)| {
-            let (r, c) = run_cached(state, cell);
+        .map(|p| {
+            let (r, c) = run_cached(state, p);
             coalesced = c;
             r
         })
@@ -938,24 +986,23 @@ fn serve_run(state: &Arc<State>, stream: &mut TcpStream, plan: &RunPlan, t0: Ins
 
 /// Runs one cell through the LRU, then the single-flight engine path, and
 /// fills the LRU with the fresh result.
-fn run_cached(state: &Arc<State>, cell: &Cell) -> (Result<Arc<SimResult>, String>, bool) {
-    let key = cell.fingerprint();
+fn run_cached(state: &Arc<State>, p: &PlannedCell) -> (Result<Arc<SimResult>, String>, bool) {
     if let Some(cache) = &state.cache {
-        if let Some(r) = relock(cache).get(&key) {
+        if let Some(r) = relock(cache).get(&p.key) {
             state.m.cache_hits.inc();
             return (Ok(r), false);
         }
         state.m.cache_misses.inc();
     }
-    let (result, coalesced) = run_coalesced(state, cell);
+    let (result, coalesced) = run_coalesced(state, &p.cell, p.key);
     if let Ok(r) = &result {
-        cache_insert(state, key, Arc::clone(r));
+        cache_insert(state, p.key, Arc::clone(r));
     }
     (result, coalesced)
 }
 
 /// Inserts a fresh result into the hot-result LRU, counting any eviction.
-fn cache_insert(state: &Arc<State>, key: String, r: Arc<SimResult>) {
+fn cache_insert(state: &Arc<State>, key: u64, r: Arc<SimResult>) {
     let Some(cache) = &state.cache else { return };
     let mut c = relock(cache);
     if c.put(key, r).is_some() {
@@ -967,8 +1014,11 @@ fn cache_insert(state: &Arc<State>, key: String, r: Arc<SimResult>) {
 /// Runs one cell with single-flight coalescing: concurrent identical cells
 /// share one simulation. Returns the result and whether this call was a
 /// follower (coalesced onto another request's flight).
-fn run_coalesced(state: &Arc<State>, cell: &Cell) -> (Result<Arc<SimResult>, String>, bool) {
-    let key = cell.fingerprint();
+fn run_coalesced(
+    state: &Arc<State>,
+    cell: &Cell,
+    key: u64,
+) -> (Result<Arc<SimResult>, String>, bool) {
     let (flight, leader) = {
         let mut map = relock(&state.inflight);
         match map.get(&key) {
@@ -976,14 +1026,14 @@ fn run_coalesced(state: &Arc<State>, cell: &Cell) -> (Result<Arc<SimResult>, Str
             None => {
                 let f = Arc::new(Flight::default());
                 f.leader_trace.store(span::current().trace, Ordering::Relaxed);
-                map.insert(key.clone(), Arc::clone(&f));
+                map.insert(key, Arc::clone(&f));
                 (f, true)
             }
         }
     };
     if leader {
         state.m.runs_started.inc();
-        let result = catch_unwind(AssertUnwindSafe(|| state.runner.run_cell(cell)))
+        let result = catch_unwind(AssertUnwindSafe(|| state.runner.run_keyed(cell, key)))
             .map_err(|_| format!("simulation panicked for workload `{}`", cell.workload));
         *relock(&flight.done) = Some(result.clone());
         flight.cv.notify_all();
@@ -1011,8 +1061,17 @@ pub const MAX_BATCH_CELLS: usize = 64;
 /// whether it came in the batch form (which only picks the response
 /// shape).
 struct RunPlan {
-    cells: Vec<(Cell, PrefetchSetup)>,
+    cells: Vec<PlannedCell>,
     batch: bool,
+}
+
+/// One validated `/run` cell with the arm its response names, and its
+/// [`cell_key`], computed once here for the LRU, the single-flight map and
+/// the engine.
+struct PlannedCell {
+    cell: Cell,
+    arm: PrefetchSetup,
+    key: u64,
 }
 
 /// Decodes and validates a `/run` body into a [`RunPlan`].
@@ -1031,7 +1090,7 @@ fn parse_run_plan(body: &str) -> Result<RunPlan, String> {
 /// Accepted keys: `workload` (required), `arm` (default `sr`), `scale`
 /// (`test`|`full`, default `test`), `insts` (optional measured-instruction
 /// override, at most the paper's full-scale window).
-fn cell_from_pairs(pairs: Vec<(String, Value)>) -> Result<(Cell, PrefetchSetup), String> {
+fn cell_from_pairs(pairs: Vec<(String, Value)>) -> Result<PlannedCell, String> {
     let mut workload: Option<String> = None;
     let mut arm = PrefetchSetup::SwSelfRepair;
     let mut scale = Scale::Test;
@@ -1060,9 +1119,10 @@ fn cell_from_pairs(pairs: Vec<(String, Value)>) -> Result<(Cell, PrefetchSetup),
         }
     }
     let workload = workload.ok_or("missing required key `workload`")?;
-    // Authoritative check against the builder, not `names()`: extension
-    // workloads outside the paper suite (e.g. `phaseshift`) are servable.
-    if build(&workload, Scale::Test).is_none() {
+    // Authoritative check against the builder's table, not `names()`:
+    // extension workloads outside the paper suite (e.g. `phaseshift`) are
+    // servable. Nothing is built here.
+    if !is_known(&workload) {
         return Err(format!("unknown workload `{workload}`"));
     }
     let mut cfg = match scale {
@@ -1078,7 +1138,8 @@ fn cell_from_pairs(pairs: Vec<(String, Value)>) -> Result<(Cell, PrefetchSetup),
         }
         cfg.measure_insts = n;
     }
-    Ok((Cell::new(workload, scale, cfg), arm))
+    let cell = Cell::new(workload, scale, cfg);
+    Ok(PlannedCell { key: cell_key(&cell), cell, arm })
 }
 
 /// The `/run` response body: the one cell's result object, or
@@ -1086,14 +1147,14 @@ fn cell_from_pairs(pairs: Vec<(String, Value)>) -> Result<(Cell, PrefetchSetup),
 /// read `"coalesced":0`).
 fn run_json(plan: &RunPlan, results: &[Arc<SimResult>], coalesced: bool) -> String {
     if !plan.batch {
-        let (cell, arm) = &plan.cells[0];
-        return result_json(cell, *arm, &results[0], coalesced);
+        let p = &plan.cells[0];
+        return result_json(&p.cell, p.arm, &results[0], coalesced);
     }
     let bodies: Vec<String> = plan
         .cells
         .iter()
         .zip(results)
-        .map(|((cell, arm), r)| result_json(cell, *arm, r, false))
+        .map(|(p, r)| result_json(&p.cell, p.arm, r, false))
         .collect();
     format!("{{\"results\":[{}]}}", bodies.join(","))
 }

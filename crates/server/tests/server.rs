@@ -205,6 +205,33 @@ fn batch_cells_answer_as_single_cells_under_the_request_trace() {
 }
 
 #[test]
+fn cached_hits_never_wait_out_an_accept_poll() {
+    // A client that pauses before each request, as one across a network
+    // does, must find the accept thread ready to take its connection, not
+    // sleeping out a poll interval.
+    let (addr, handle, t) = start(1, 4);
+    let body = r#"{"workload":"mcf","arm":"sr","insts":2000}"#;
+    assert_eq!(post_run(&addr, body).status, 200, "warm the cell");
+
+    let mut rtts: Vec<Duration> = (0..40)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(1));
+            let t0 = Instant::now();
+            let r = post_run(&addr, body);
+            assert_eq!(r.status, 200, "{}", r.body);
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(median < Duration::from_millis(5), "median hit round trip {median:?}: {rtts:?}");
+    assert_eq!(counter(&metrics(&addr), "cache_hits"), 40, "every repeat is an LRU hit");
+
+    handle.shutdown();
+    t.join().expect("clean shutdown");
+}
+
+#[test]
 fn full_queue_sheds_with_503() {
     // One worker, one queue slot: with a slow run in flight and one queued,
     // the third request must shed — deterministically, because we gate each

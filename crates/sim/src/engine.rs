@@ -8,9 +8,9 @@
 //!
 //! * a declarative [`ExperimentSpec`] enumerating cells up front;
 //! * a [`Runner`] that executes unique cells across `std::thread::scope`
-//!   workers and memoizes each [`SimResult`] under a content fingerprint, so
-//!   a cell is simulated exactly once per process no matter how many figures
-//!   ask for it;
+//!   workers and memoizes each [`SimResult`] under the cell's 64-bit store
+//!   key ([`cell_key`]), so a cell is simulated exactly once per process no
+//!   matter how many figures ask for it;
 //! * deterministic results: workload generation is seeded *per cell* (every
 //!   generator owns a fixed-seed [`tdo_rand::Rng`]; there is no global
 //!   generator state), so a cell's result is byte-identical whether it runs
@@ -44,7 +44,7 @@ use tdo_workloads::{build, Scale};
 
 use crate::config::SimConfig;
 use crate::machine::run;
-use crate::persist;
+use crate::persist::{self, cell_key};
 use crate::result::SimResult;
 
 /// One experiment cell: a named workload simulated under one configuration.
@@ -65,13 +65,16 @@ impl Cell {
         Cell { workload: workload.into(), scale, cfg }
     }
 
-    /// The memoization fingerprint: the full rendered content of the cell.
+    /// The full rendered content of the cell, hashed into its key by
+    /// [`cell_key`].
     ///
     /// Two cells with equal fingerprints run the same workload bytes under
-    /// the same configuration and therefore produce the same [`SimResult`].
-    /// (The debug rendering covers every `SimConfig` field, so there are no
-    /// false cache hits; a formatting-identical configuration is a
-    /// field-identical one.)
+    /// the same configuration and therefore produce the same [`SimResult`]:
+    /// the debug rendering covers every `SimConfig` field, so a
+    /// formatting-identical configuration is a field-identical one. Every
+    /// per-cell table (memo, store, and the server's cache and
+    /// single-flight map) keys by the 64-bit hash instead; the text itself
+    /// is only printed, where a human reads which cell failed.
     #[must_use]
     pub fn fingerprint(&self) -> String {
         format!("{}|{:?}|{:?}", self.workload, self.scale, self.cfg)
@@ -91,7 +94,7 @@ impl Cell {
 }
 
 /// A declarative batch of cells, in presentation order (duplicates allowed —
-/// the runner deduplicates by fingerprint).
+/// the runner deduplicates by [`cell_key`]).
 #[derive(Clone, Debug, Default)]
 pub struct ExperimentSpec {
     /// The cells to simulate.
@@ -135,9 +138,14 @@ impl ExperimentSpec {
 /// perform zero simulations. The store is a [`ShardedStore`] whether it
 /// has one shard (a plain store directory) or many (the serving tier's
 /// layout); the engine never cares which.
+///
+/// Memo, store and fault sites all key a cell by [`cell_key`], the 64-bit
+/// FNV-1a of its fingerprint: two distinct cells whose keys collide would
+/// share one result, the same exposure the content-addressed store has
+/// always had.
 pub struct Runner {
     jobs: usize,
-    cache: Mutex<HashMap<String, Arc<SimResult>>>,
+    cache: Mutex<HashMap<u64, Arc<SimResult>>>,
     store: Option<Arc<ShardedStore>>,
     sims: Arc<Counter>,
     store_hits: Arc<Counter>,
@@ -345,7 +353,7 @@ impl Runner {
 
     /// Folds one unique cell's Trident queue totals and per-arm prefetch
     /// totals into the registry counters. Called exactly once per distinct
-    /// fingerprint.
+    /// cell key.
     fn account_result(&self, r: &SimResult) {
         self.events_queued.add(r.trident.events_queued);
         self.events_dropped_saturated.add(r.trident.events_dropped_saturated);
@@ -387,7 +395,7 @@ impl Runner {
     /// Locks the memo cache, recovering from poisoning: a panicking worker
     /// must not cascade into unrelated cells (they re-simulate; the map is
     /// only ever observed with complete entries).
-    fn lock_cache(&self) -> MutexGuard<'_, HashMap<String, Arc<SimResult>>> {
+    fn lock_cache(&self) -> MutexGuard<'_, HashMap<u64, Arc<SimResult>>> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -397,9 +405,9 @@ impl Runner {
 
     /// Store read-through: decodes the stored result for `key`, counting
     /// the hit or miss.
-    fn recall_store(&self, key: &str) -> Option<SimResult> {
+    fn recall_store(&self, key: u64) -> Option<SimResult> {
         let store = self.store.as_ref()?;
-        if tdo_fault::fire_keyed(Site::EngineStoreDegrade, fingerprint_hash(key)).is_some() {
+        if tdo_fault::fire_keyed(Site::EngineStoreDegrade, key).is_some() {
             // Injected read-path degrade: behave exactly like a miss so the
             // cell re-simulates (persistence is an accelerator, never a
             // correctness dependency).
@@ -407,7 +415,7 @@ impl Runner {
             return None;
         }
         let hit = store
-            .get(tdo_rand::fnv1a64(key.as_bytes()), persist::SCHEMA_VERSION)
+            .get(key, persist::SCHEMA_VERSION)
             .and_then(|payload| persist::decode_result(&payload));
         let counter = if hit.is_some() { &self.store_hits } else { &self.store_misses };
         counter.inc();
@@ -415,30 +423,25 @@ impl Runner {
     }
 
     /// Store write-through: persists a freshly simulated result. I/O errors
-    /// only cost persistence, never the run.
-    fn persist(&self, key: &str, result: &SimResult) {
+    /// only cost persistence, never the run; the warning names the cell by
+    /// its full fingerprint.
+    fn persist(&self, cell: &Cell, key: u64, result: &SimResult) {
         let Some(store) = self.store.as_ref() else { return };
-        if tdo_fault::fire_keyed(Site::EngineStoreDegrade, fingerprint_hash(key)).is_some() {
+        let err = if tdo_fault::fire_keyed(Site::EngineStoreDegrade, key).is_some() {
             // Injected write-path degrade: the result stays memo-only.
-            tdo_obs::logline::log(
-                tdo_obs::Level::Warn,
-                "engine",
-                "cannot persist cell to result store",
-                &[("err", "injected store degrade"), ("cell", key)],
-            );
-            return;
-        }
-        let payload = persist::encode_result(result);
-        if let Err(e) =
-            store.put(tdo_rand::fnv1a64(key.as_bytes()), persist::SCHEMA_VERSION, &payload)
-        {
-            tdo_obs::logline::log(
-                tdo_obs::Level::Warn,
-                "engine",
-                "cannot persist cell to result store",
-                &[("err", &e.to_string()), ("cell", key)],
-            );
-        }
+            "injected store degrade".to_string()
+        } else {
+            match store.put(key, persist::SCHEMA_VERSION, &persist::encode_result(result)) {
+                Ok(()) => return,
+                Err(e) => e.to_string(),
+            }
+        };
+        tdo_obs::logline::log(
+            tdo_obs::Level::Warn,
+            "engine",
+            "cannot persist cell to result store",
+            &[("err", &err), ("cell", &cell.fingerprint())],
+        );
     }
 
     /// Runs (or recalls) a single cell: memo cache, then store, then a
@@ -449,23 +452,34 @@ impl Runner {
     /// Panics on an unknown workload name.
     #[must_use]
     pub fn run_cell(&self, cell: &Cell) -> Arc<SimResult> {
-        let key = cell.fingerprint();
-        let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::RunCell, fingerprint_hash(&key));
+        self.run_keyed(cell, cell_key(cell))
+    }
+
+    /// [`Runner::run_cell`] for a caller that already holds the cell's
+    /// key, which must be `cell_key(cell)`: the server computes it once
+    /// per request cell for its cache and single-flight map.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown workload name.
+    #[must_use]
+    pub fn run_keyed(&self, cell: &Cell, key: u64) -> Arc<SimResult> {
+        let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::RunCell, key);
         self.resolve(cell, key)
     }
 
-    /// The one resolve step behind [`Runner::run_cell`] and
+    /// The one resolve step behind [`Runner::run_keyed`] and
     /// [`Runner::run_spec`]: memo cache, then store, then a fresh
     /// simulation persisted to the store, then a memo insert. Only the
     /// insert that fills a vacant slot folds the result into the registry
     /// counters, so racing resolvers of one cell count it once.
-    fn resolve(&self, cell: &Cell, key: String) -> Arc<SimResult> {
+    fn resolve(&self, cell: &Cell, key: u64) -> Arc<SimResult> {
         if let Some(r) = self.lock_cache().get(&key) {
             return Arc::clone(r);
         }
-        let r = self.recall_store(&key).unwrap_or_else(|| {
-            let r = self.simulate_timed(cell, &key);
-            self.persist(&key, &r);
+        let r = self.recall_store(key).unwrap_or_else(|| {
+            let r = self.simulate_timed(cell, key);
+            self.persist(cell, key, &r);
             r
         });
         match self.lock_cache().entry(key) {
@@ -478,8 +492,8 @@ impl Runner {
     }
 
     /// Runs one fresh simulation, counting it and timing its wall clock.
-    fn simulate_timed(&self, cell: &Cell, key: &str) -> SimResult {
-        if tdo_fault::fire_keyed(Site::EngineCellPanic, fingerprint_hash(key)).is_some() {
+    fn simulate_timed(&self, cell: &Cell, key: u64) -> SimResult {
+        if tdo_fault::fire_keyed(Site::EngineCellPanic, key).is_some() {
             panic!("injected cell panic: `{}`", cell.workload);
         }
         self.sims.inc();
@@ -503,16 +517,16 @@ impl Runner {
     /// naming the offenders.
     #[must_use]
     pub fn run_spec(&self, spec: &ExperimentSpec) -> Vec<Arc<SimResult>> {
+        let keys: Vec<u64> = spec.cells.iter().map(cell_key).collect();
         // Unique cells not already memoized, in first-appearance order so a
         // serial runner (jobs=1) visits them deterministically.
-        let mut pending: Vec<&Cell> = Vec::new();
+        let mut pending: Vec<(&Cell, u64)> = Vec::new();
         {
             let cache = self.lock_cache();
             let mut seen = HashSet::new();
-            for cell in &spec.cells {
-                let key = cell.fingerprint();
+            for (cell, &key) in spec.cells.iter().zip(&keys) {
                 if !cache.contains_key(&key) && seen.insert(key) {
-                    pending.push(cell);
+                    pending.push((cell, key));
                 }
             }
         }
@@ -523,19 +537,16 @@ impl Runner {
                 for _ in 0..workers {
                     s.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cell) = pending.get(i) else { break };
-                        let key = cell.fingerprint();
-                        let hash = fingerprint_hash(&key);
-                        let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::RunCell, hash);
-                        if let Some(token) = tdo_fault::fire_keyed(Site::EngineHelperJitter, hash) {
+                        let Some(&(cell, key)) = pending.get(i) else { break };
+                        let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::RunCell, key);
+                        if let Some(token) = tdo_fault::fire_keyed(Site::EngineHelperJitter, key) {
                             // Injected helper-job delay: perturbs scheduling
                             // only; results must stay byte-identical.
                             std::thread::sleep(std::time::Duration::from_micros(token % 1_500));
                         }
-                        let resolved =
-                            catch_unwind(AssertUnwindSafe(|| self.resolve(cell, key.clone())));
+                        let resolved = catch_unwind(AssertUnwindSafe(|| self.resolve(cell, key)));
                         if resolved.is_err() {
-                            self.lock_failed().push(key);
+                            self.lock_failed().push(cell.fingerprint());
                         }
                     });
                 }
@@ -546,9 +557,9 @@ impl Runner {
         let results: Vec<Arc<SimResult>> = spec
             .cells
             .iter()
-            .map(|c| {
-                let key = c.fingerprint();
-                cache.get(&key).cloned().unwrap_or_else(|| {
+            .zip(&keys)
+            .map(|(c, key)| {
+                cache.get(key).cloned().unwrap_or_else(|| {
                     panic!(
                         "{} cell(s) failed to simulate (first: `{}` on workload `{}`)",
                         failed.len(),
@@ -560,12 +571,6 @@ impl Runner {
             .collect();
         results
     }
-}
-
-/// Stable 64-bit key for fault-injection decisions: injected faults must hit
-/// the same cells regardless of worker count or scheduling order.
-fn fingerprint_hash(key: &str) -> u64 {
-    tdo_rand::fnv1a64(key.as_bytes())
 }
 
 #[cfg(test)]

@@ -32,9 +32,13 @@ pub const SCHEMA_VERSION: u32 = 3;
 /// and including the halt flag; the ledger section follows).
 const FIXED_WORDS: usize = 68;
 
-/// The store key of a cell: the stable 64-bit FNV-1a hash of its
-/// [`Cell::fingerprint`]. Two cells with equal fingerprints simulate
-/// identically, so the hash is a sound content address.
+/// The key of a cell in every per-cell table: the store, the engine's memo,
+/// and the server's result cache and single-flight map. It is the stable
+/// 64-bit FNV-1a hash of [`Cell::fingerprint`]. Two cells with equal
+/// fingerprints simulate identically, so the hash is a sound content
+/// address; two distinct cells whose hashes collided would share one
+/// result in every table alike. Rendering the fingerprint is the cost, so
+/// callers compute the key once per cell.
 #[must_use]
 pub fn cell_key(cell: &Cell) -> u64 {
     tdo_rand::fnv1a64(cell.fingerprint().as_bytes())

@@ -45,24 +45,35 @@ pub fn names() -> &'static [&'static str] {
 /// Returns `None` for unknown names; see [`names`].
 #[must_use]
 pub fn build(name: &str, scale: Scale) -> Option<Workload> {
+    constructor(name).map(|make| make(scale))
+}
+
+/// Whether [`build`] knows `name`, answered without building anything.
+#[must_use]
+pub fn is_known(name: &str) -> bool {
+    constructor(name).is_some()
+}
+
+/// The one name → generator table behind [`build`] and [`is_known`].
+fn constructor(name: &str) -> Option<fn(Scale) -> Workload> {
     Some(match name {
-        "applu" => stride::applu(scale),
-        "art" => stride::art(scale),
-        "dot" => pointer::dot(scale),
-        "equake" => irregular::equake(scale),
-        "facerec" => stride::facerec(scale),
-        "fma3d" => stride::fma3d(scale),
-        "galgel" => stride::galgel(scale),
-        "gap" => irregular::gap(scale),
-        "mcf" => pointer::mcf(scale),
-        "mgrid" => stride::mgrid(scale),
-        "parser" => pointer::parser(scale),
-        "swim" => stride::swim(scale),
-        "vis" => pointer::vis(scale),
-        "wupwise" => stride::wupwise(scale),
+        "applu" => stride::applu,
+        "art" => stride::art,
+        "dot" => pointer::dot,
+        "equake" => irregular::equake,
+        "facerec" => stride::facerec,
+        "fma3d" => stride::fma3d,
+        "galgel" => stride::galgel,
+        "gap" => irregular::gap,
+        "mcf" => pointer::mcf,
+        "mgrid" => stride::mgrid,
+        "parser" => pointer::parser,
+        "swim" => stride::swim,
+        "vis" => pointer::vis,
+        "wupwise" => stride::wupwise,
         // Not part of the paper's 14-benchmark suite (and so absent from
         // `names()`): the arm-matrix extension's phase-shifting workload.
-        "phaseshift" => phase::phaseshift(scale),
+        "phaseshift" => phase::phaseshift,
         _ => return None,
     })
 }
@@ -89,6 +100,16 @@ mod tests {
     #[test]
     fn unknown_names_are_rejected() {
         assert!(build("quake3", Scale::Test).is_none());
+    }
+
+    #[test]
+    fn is_known_agrees_with_build() {
+        let unknown = ["quake3", "", "MCF", "mcf ", "phase"];
+        for name in names().iter().copied().chain(["phaseshift"]).chain(unknown) {
+            assert_eq!(is_known(name), build(name, Scale::Test).is_some(), "`{name}`");
+        }
+        assert!(is_known("phaseshift"));
+        assert!(unknown.iter().all(|n| !is_known(n)));
     }
 
     #[test]
