@@ -87,8 +87,8 @@ fn usage_text() -> String {
          \x20                           shed with 503 (default 16)\n\
          \x20 --shards <N>              consistent-hash store shards under the\n\
          \x20                           store directory (default 1 = unsharded)\n\
-         \x20 --cache <N>               hot-result LRU capacity in cells\n\
-         \x20                           (default 256; 0 disables the cache)\n\
+         \x20 --cache <N>               finished results kept in memory, in cells\n\
+         \x20                           (default 256; 0 keeps none)\n\
          \x20 --slo-us <N>              /run latency SLO in µs; a breach dumps\n\
          \x20                           the flight recorder (default 0 = off)\n\
          \x20 --flight-dir <dir>        directory for flight-recorder dumps on\n\

@@ -19,8 +19,9 @@ fn count_reports_sheds_separately_from_rtt() {
     // firing only, so posts 1 and 3 are served and post 2 sheds with 503.
     let _guard = arm(FaultPlan::new(7).with_at(Site::ServerQueueSaturate, 2));
 
-    // `cache: 0` matters: with the hot-result LRU on, repeat cells answer
-    // inline before admission and the saturate site would never see post 2.
+    // `cache: 0` matters: a daemon that keeps finished results answers
+    // repeat cells inline before admission, and the saturate site would
+    // never see post 2.
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,

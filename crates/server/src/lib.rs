@@ -12,14 +12,15 @@
 //! small fixed pool of worker threads through a bounded queue. When the
 //! queue is full the accept thread sheds the request with an explicit
 //! `503` instead of letting latency collapse. Identical cells requested
-//! concurrently — alone or inside batches — are *single-flighted*: the
-//! first request simulates, the rest wait on the same flight and share the
-//! one result. A `tdo-health` thread ticks the [`health`] plane every
-//! 100 ms. `POST /shutdown` (or a [`ServerHandle`]) wakes the accept thread
-//! with a loopback connection to the listener; a `SIGINT`/ctrl-C only sets
-//! a flag, which the health thread notices within one tick and forwards
-//! the same way. The server then stops accepting, drains the queue,
-//! finishes in-flight simulations and exits cleanly.
+//! concurrently — alone or inside batches — are *single-flighted* by the
+//! engine's cell table ([`Runner`]): the first request resolves the cell,
+//! the rest wait on its flight and share the one result. A `tdo-health`
+//! thread ticks the [`health`] plane every 100 ms. `POST /shutdown` (or a
+//! [`ServerHandle`]) wakes the accept thread with a loopback connection to
+//! the listener; a `SIGINT`/ctrl-C only sets a flag, which the health
+//! thread notices within one tick and forwards the same way. The server
+//! then stops accepting, drains the queue, finishes in-flight simulations
+//! and exits cleanly.
 //!
 //! | Endpoint | Served by | Behaviour |
 //! |---|---|---|
@@ -28,18 +29,19 @@
 //! | `GET /workloads` | accept thread | the workload suite with descriptions |
 //! | `GET /metrics/history?window=N` | accept thread | retained health-sampler rows as JSONL (see [`health`]) |
 //! | `GET /debug/flight` | accept thread | the flight recorder's current contents as flight JSONL |
-//! | `POST /run` | worker pool (LRU hits: accept thread) | JSON cell spec or `{"cells":[…]}` batch → result(s) (per cell: LRU, single-flight, memo, store, simulate) |
+//! | `POST /run` | worker pool (cached requests: accept thread) | JSON cell spec or `{"cells":[…]}` batch → result(s) (per cell: memo, store, simulate) |
 //! | `POST /shutdown` | accept thread | graceful shutdown (equivalent to SIGINT) |
 //!
 //! **Serving at scale.** With `--shards N` the persistent store splits
 //! into N consistent-hash shards (`shard-000/` …) routed by the cell
-//! fingerprint ([`tdo_store::ShardMap`]); with a hot-result [`lru`] cache
-//! in front (capacity `--cache`), repeat cells answer from the accept
-//! thread without touching queue, store or engine. A batch `POST /run`
-//! takes one queue slot, and its worker resolves each cell as it would a
-//! single-cell request. [`admission`] tightens the queue bound to half
-//! while the health watchdog reports the tier degraded, shedding earlier
-//! instead of letting the backlog compound.
+//! fingerprint ([`tdo_store::ShardMap`]). The runner's cell table keeps
+//! the `--cache` most recently used finished results, so a request whose
+//! cells are all held answers from the accept thread without touching
+//! queue, store or simulation. A batch `POST /run` takes one queue slot,
+//! and its worker resolves each cell as it would a single-cell request.
+//! [`admission`] tightens the queue bound to half while the health
+//! watchdog reports the tier degraded, shedding earlier instead of letting
+//! the backlog compound.
 //!
 //! **Tracing.** Every connection is minted a trace id (echoed back as an
 //! `X-Tdo-Trace` response header); the request, its queue wait, the engine
@@ -56,9 +58,10 @@ pub mod client;
 pub mod health;
 pub mod http;
 pub mod json;
-pub mod lru;
+/// The LRU map behind the engine's cell table.
+pub use tdo_sim::lru;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,13 +74,12 @@ use tdo_metrics::{Counter, Gauge, Histogram, Registry};
 use tdo_obs::json::{escape, Value};
 use tdo_obs::span::{self, OpenSpan};
 use tdo_obs::{FlightKind, TraceCtx, TraceIdGen};
-use tdo_sim::{cell_key, Cell, PrefetchSetup, Runner, SimConfig, SimResult};
+use tdo_sim::{cell_key, Cell, PrefetchSetup, Runner, SimConfig, SimResult, TableMetrics};
 use tdo_workloads::{build, is_known, names, Scale};
 
 use admission::{Admission, Admit};
 use http::{read_request, write_response, write_response_typed, Request};
 use json::{parse_run_body, RunBody};
-use lru::Lru;
 
 /// Default listen address for `tdo serve`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7077";
@@ -127,7 +129,8 @@ pub struct ServerConfig {
     /// Consistent-hash store shards under the store directory (`<= 1` =
     /// one unsharded store, the classic layout).
     pub shards: usize,
-    /// Hot-result LRU capacity in cells (`0` disables the cache).
+    /// Finished results the runner's cell table keeps in memory, in cells
+    /// (`0` keeps none).
     pub cache: usize,
 }
 
@@ -187,7 +190,6 @@ struct Metrics {
     run_ok: Arc<Counter>,
     run_rejected: Arc<Counter>,
     run_failed: Arc<Counter>,
-    coalesced: Arc<Counter>,
     shed: Arc<Counter>,
     bad_requests: Vec<(&'static str, Arc<Counter>)>,
     debug_flight: Arc<Counter>,
@@ -195,14 +197,11 @@ struct Metrics {
     flight_dumps: Vec<(&'static str, Arc<Counter>)>,
     watchdog_trips: Vec<(&'static str, Arc<Counter>)>,
     not_found: Arc<Counter>,
-    runs_started: Arc<Counter>,
-    runs_finished: Arc<Counter>,
     batch_requests: Arc<Counter>,
     batch_cells: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    cache_entries: Arc<Gauge>,
+    /// The instruments the runner's cell table updates: the `coalesced`,
+    /// `runs_*` and `cache_*` families.
+    table: TableMetrics,
     admission_degraded: Arc<Gauge>,
     shards: Arc<Gauge>,
     lat_health: Arc<Histogram>,
@@ -262,10 +261,6 @@ impl Metrics {
             run_ok: c("tdo_server_run_ok_total", "Run requests answered 200."),
             run_rejected: c("tdo_server_run_rejected_total", "Run requests with a bad cell spec."),
             run_failed: c("tdo_server_run_failed_total", "Run requests whose simulation failed."),
-            coalesced: c(
-                "tdo_server_coalesced_total",
-                "Run requests coalesced onto another flight.",
-            ),
             shed: c("tdo_server_shed_total", "Run requests shed at a full queue."),
             bad_requests: BAD_REQUEST_REASONS
                 .iter()
@@ -303,8 +298,6 @@ impl Metrics {
                 })
                 .collect(),
             not_found: c("tdo_server_not_found_total", "Requests for unknown endpoints."),
-            runs_started: c("tdo_server_runs_started_total", "Single-flight leaders started."),
-            runs_finished: c("tdo_server_runs_finished_total", "Single-flight leaders finished."),
             batch_requests: c(
                 "tdo_server_batch_requests_total",
                 "Batch-form run requests (`{\"cells\":[...]}` bodies).",
@@ -313,26 +306,40 @@ impl Metrics {
                 "tdo_server_batch_cells_total",
                 "Cells received inside batch-form run requests.",
             ),
-            cache_hits: reg.counter(
-                "tdo_server_cache_hits_total",
-                &[("cache", "hot_result")],
-                "Run cells answered from the hot-result LRU.",
-            ),
-            cache_misses: reg.counter(
-                "tdo_server_cache_misses_total",
-                &[("cache", "hot_result")],
-                "Run cells the hot-result LRU could not answer.",
-            ),
-            cache_evictions: reg.counter(
-                "tdo_server_cache_evictions_total",
-                &[("cache", "hot_result")],
-                "Entries evicted from the hot-result LRU at capacity.",
-            ),
-            cache_entries: reg.gauge(
-                "tdo_server_cache_entries",
-                &[("cache", "hot_result")],
-                "Entries currently held by the hot-result LRU.",
-            ),
+            table: TableMetrics {
+                hits: reg.counter(
+                    "tdo_server_cache_hits_total",
+                    &[("cache", "hot_result")],
+                    "Run cells answered from the hot-result LRU.",
+                ),
+                misses: reg.counter(
+                    "tdo_server_cache_misses_total",
+                    &[("cache", "hot_result")],
+                    "Run cells the hot-result LRU could not answer.",
+                ),
+                evictions: reg.counter(
+                    "tdo_server_cache_evictions_total",
+                    &[("cache", "hot_result")],
+                    "Entries evicted from the hot-result LRU at capacity.",
+                ),
+                entries: reg.gauge(
+                    "tdo_server_cache_entries",
+                    &[("cache", "hot_result")],
+                    "Entries currently held by the hot-result LRU.",
+                ),
+                flights_started: c(
+                    "tdo_server_runs_started_total",
+                    "Single-flight leaders started.",
+                ),
+                flights_finished: c(
+                    "tdo_server_runs_finished_total",
+                    "Single-flight leaders finished.",
+                ),
+                joined: c(
+                    "tdo_server_coalesced_total",
+                    "Run requests coalesced onto another flight.",
+                ),
+            },
             admission_degraded: reg.gauge(
                 "tdo_server_admission_degraded",
                 &[],
@@ -393,16 +400,6 @@ fn elapsed_us(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// A single-flight slot: the leader publishes here, followers wait. The
-/// leader's trace id lets a follower's flight records link to the flight
-/// that actually simulated.
-#[derive(Default)]
-struct Flight {
-    done: Mutex<Option<Result<Arc<SimResult>, String>>>,
-    cv: Condvar,
-    leader_trace: AtomicU64,
-}
-
 /// Shared server state (accept thread + workers).
 struct State {
     runner: Runner,
@@ -410,11 +407,6 @@ struct State {
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     queue_cap: usize,
-    /// Single-flight slots by [`cell_key`].
-    inflight: Mutex<HashMap<u64, Arc<Flight>>>,
-    /// Hot-result LRU in front of the store, by [`cell_key`] (`None` =
-    /// disabled).
-    cache: Option<Mutex<Lru<u64, Arc<SimResult>>>>,
     /// Watchdog-aware queue admission.
     admission: Admission,
     shutdown: AtomicBool,
@@ -533,13 +525,14 @@ impl Server {
             };
             wake_addr.set_ip(loopback);
         }
+        let registry = Registry::new();
+        let m = Metrics::new(&registry);
         let runner = if cfg.no_store {
             Runner::new(1)
         } else {
             Runner::with_default_store(1, cfg.store_dir.as_deref(), cfg.shards)
-        };
-        let registry = Registry::new();
-        let m = Metrics::new(&registry);
+        }
+        .with_table(cfg.cache, m.table.clone());
         runner.register_metrics(&registry);
         tdo_obs::register_metrics(&registry);
         // Build/schema identity: always-1 gauge whose labels carry the
@@ -567,8 +560,6 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             queue_cap: cfg.queue_cap.max(1),
-            inflight: Mutex::new(HashMap::new()),
-            cache: (cfg.cache > 0).then(|| Mutex::new(Lru::new(cfg.cache))),
             admission: Admission::new(),
             shutdown: AtomicBool::new(false),
             wake_addr,
@@ -824,8 +815,8 @@ fn handle_connection(state: &Arc<State>, mut stream: TcpStream) {
 }
 
 /// Routes a `/run` request: parse on the accept thread, answer bad specs
-/// with 400 and whole-request LRU hits inline, and queue everything else
-/// for the worker pool (or shed it).
+/// with 400 and requests whose every cell the runner holds finished
+/// inline, and queue everything else for the worker pool (or shed it).
 fn handle_run(
     state: &Arc<State>,
     mut stream: TcpStream,
@@ -848,30 +839,18 @@ fn handle_run(
                 state.m.batch_requests.inc();
                 state.m.batch_cells.add(plan.cells.len() as u64);
             }
-            // Whole-request LRU hit: answer from the accept thread —
-            // no queue, no worker, no store, no engine.
-            if let Some(body) = serve_from_cache(state, &plan) {
+            // Every cell finished and held: answer from the accept thread —
+            // no queue, no worker, no store, no simulation.
+            if let Some(results) = state.runner.lookup(plan.cells.iter().map(|p| p.key)) {
                 state.m.run_ok.inc();
                 state.m.lat_run.observe_with_exemplar(elapsed_us(t0), trace);
-                let _ = write_response(&mut stream, 200, &body);
+                let _ = write_response(&mut stream, 200, &run_json(&plan, &results, false));
                 request_span.end(0);
                 return;
             }
             enqueue_run(state, stream, plan, t0, request_span);
         }
     }
-}
-
-/// Renders the whole request from the hot-result LRU, or returns `None`
-/// if any cell (or the cache itself) is missing.
-fn serve_from_cache(state: &Arc<State>, plan: &RunPlan) -> Option<String> {
-    let cache = state.cache.as_ref()?;
-    let results = {
-        let mut c = relock(cache);
-        plan.cells.iter().map(|p| c.get(&p.key)).collect::<Option<Vec<_>>>()?
-    };
-    state.m.cache_hits.add(results.len() as u64);
-    Some(run_json(plan, &results, false))
 }
 
 /// Admits a `/run` request to the bounded queue, or sheds it with a 503.
@@ -951,8 +930,9 @@ fn worker_loop(state: &Arc<State>) {
     }
 }
 
-/// Runs a parsed plan on a worker, every cell through [`run_cached`], and
-/// writes the response. The first failing cell fails the whole request.
+/// Runs a parsed plan on a worker, every cell through
+/// [`Runner::resolve`], and writes the response. The first failing cell
+/// fails the whole request.
 fn serve_run(state: &Arc<State>, stream: &mut TcpStream, plan: &RunPlan, t0: Instant) {
     let trace = span::current().trace;
     let mut coalesced = false;
@@ -960,9 +940,9 @@ fn serve_run(state: &Arc<State>, stream: &mut TcpStream, plan: &RunPlan, t0: Ins
         .cells
         .iter()
         .map(|p| {
-            let (r, c) = run_cached(state, p);
-            coalesced = c;
-            r
+            let (r, joined) = state.runner.resolve(&p.cell, p.key)?;
+            coalesced = joined;
+            Ok(r)
         })
         .collect();
     // Latency covers read → queue wait → simulate; observed before the
@@ -984,75 +964,6 @@ fn serve_run(state: &Arc<State>, stream: &mut TcpStream, plan: &RunPlan, t0: Ins
     }
 }
 
-/// Runs one cell through the LRU, then the single-flight engine path, and
-/// fills the LRU with the fresh result.
-fn run_cached(state: &Arc<State>, p: &PlannedCell) -> (Result<Arc<SimResult>, String>, bool) {
-    if let Some(cache) = &state.cache {
-        if let Some(r) = relock(cache).get(&p.key) {
-            state.m.cache_hits.inc();
-            return (Ok(r), false);
-        }
-        state.m.cache_misses.inc();
-    }
-    let (result, coalesced) = run_coalesced(state, &p.cell, p.key);
-    if let Ok(r) = &result {
-        cache_insert(state, p.key, Arc::clone(r));
-    }
-    (result, coalesced)
-}
-
-/// Inserts a fresh result into the hot-result LRU, counting any eviction.
-fn cache_insert(state: &Arc<State>, key: u64, r: Arc<SimResult>) {
-    let Some(cache) = &state.cache else { return };
-    let mut c = relock(cache);
-    if c.put(key, r).is_some() {
-        state.m.cache_evictions.inc();
-    }
-    state.m.cache_entries.set(c.len() as u64);
-}
-
-/// Runs one cell with single-flight coalescing: concurrent identical cells
-/// share one simulation. Returns the result and whether this call was a
-/// follower (coalesced onto another request's flight).
-fn run_coalesced(
-    state: &Arc<State>,
-    cell: &Cell,
-    key: u64,
-) -> (Result<Arc<SimResult>, String>, bool) {
-    let (flight, leader) = {
-        let mut map = relock(&state.inflight);
-        match map.get(&key) {
-            Some(f) => (Arc::clone(f), false),
-            None => {
-                let f = Arc::new(Flight::default());
-                f.leader_trace.store(span::current().trace, Ordering::Relaxed);
-                map.insert(key, Arc::clone(&f));
-                (f, true)
-            }
-        }
-    };
-    if leader {
-        state.m.runs_started.inc();
-        let result = catch_unwind(AssertUnwindSafe(|| state.runner.run_keyed(cell, key)))
-            .map_err(|_| format!("simulation panicked for workload `{}`", cell.workload));
-        *relock(&flight.done) = Some(result.clone());
-        flight.cv.notify_all();
-        relock(&state.inflight).remove(&key);
-        state.m.runs_finished.inc();
-        (result, false)
-    } else {
-        state.m.coalesced.inc();
-        // Link this follower to the leader's trace so the two requests can
-        // be joined in a flight dump.
-        span::point(FlightKind::Coalesce, flight.leader_trace.load(Ordering::Relaxed));
-        let mut done = relock(&flight.done);
-        while done.is_none() {
-            done = flight.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
-        }
-        (done.clone().expect("flight published"), true)
-    }
-}
-
 /// Upper bound on cells per batch request — bounds worker time and
 /// response size per connection (the body size cap bounds the wire side).
 pub const MAX_BATCH_CELLS: usize = 64;
@@ -1066,8 +977,8 @@ struct RunPlan {
 }
 
 /// One validated `/run` cell with the arm its response names, and its
-/// [`cell_key`], computed once here for the LRU, the single-flight map and
-/// the engine.
+/// [`cell_key`], computed once here for the runner's cell table and the
+/// store.
 struct PlannedCell {
     cell: Cell,
     arm: PrefetchSetup,
@@ -1201,8 +1112,9 @@ fn result_json(cell: &Cell, arm: PrefetchSetup, r: &SimResult, coalesced: bool) 
 /// engine's store counters, all integers.
 fn metrics_json(state: &Arc<State>) -> String {
     let m = &state.m;
-    let runs_started = m.runs_started.get();
-    let runs_finished = m.runs_finished.get();
+    let t = &m.table;
+    let runs_started = t.flights_started.get();
+    let runs_finished = t.flights_finished.get();
     let store = state.runner.store().map(|s| s.stats());
     let store_json = match &store {
         Some(s) => format!(
@@ -1239,7 +1151,7 @@ fn metrics_json(state: &Arc<State>) -> String {
         m.run_ok.get(),
         m.run_rejected.get(),
         m.run_failed.get(),
-        m.coalesced.get(),
+        t.joined.get(),
         m.shed.get(),
         m.bad_requests_total(),
         m.not_found.get(),
@@ -1250,10 +1162,10 @@ fn metrics_json(state: &Arc<State>) -> String {
         state.queue_cap,
         m.batch_requests.get(),
         m.batch_cells.get(),
-        m.cache_hits.get(),
-        m.cache_misses.get(),
-        m.cache_evictions.get(),
-        m.cache_entries.get(),
+        t.hits.get(),
+        t.misses.get(),
+        t.evictions.get(),
+        t.entries.get(),
         m.shards.get(),
         m.admission_degraded.get(),
         state.runner.sims_run(),

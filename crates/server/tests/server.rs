@@ -1,5 +1,6 @@
 //! End-to-end daemon tests over real sockets: routing, single-flight
-//! coalescing, bounded-queue shedding and graceful shutdown.
+//! coalescing, the result cache in front of the store, bounded-queue
+//! shedding and graceful shutdown.
 
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
@@ -107,9 +108,16 @@ fn routing_and_error_paths() {
     t.join().expect("clean shutdown");
 }
 
+/// The 16-hex-digit `X-Tdo-Trace` id of a response.
+fn trace_of(r: &Response) -> u64 {
+    u64::from_str_radix(r.trace.as_deref().expect("X-Tdo-Trace header"), 16).expect("hex trace id")
+}
+
 /// Posts `body` from a leader and, once its simulation is in flight, from
 /// three identical followers. One simulation must answer all four, the
-/// followers coalescing onto the leader's flight. Returns the four bodies.
+/// followers coalescing onto the leader's flight, and each follower's
+/// trace must record a `coalesce` point naming the leader's trace. Returns
+/// the four bodies.
 fn four_identical_runs(body: &str) -> Vec<String> {
     let (addr, handle, t) = start(4, 8);
     let post = || {
@@ -125,14 +133,28 @@ fn four_identical_runs(body: &str) -> Vec<String> {
     let followers: Vec<_> = (0..3).map(|_| post()).collect();
     wait_for(&addr, "followers coalesced", |m| counter(m, "coalesced") == 3);
 
-    let bodies = std::iter::once(leader)
+    let responses: Vec<Response> = std::iter::once(leader)
         .chain(followers)
         .map(|h| {
             let r = h.join().unwrap();
             assert_eq!(r.status, 200, "{}", r.body);
-            r.body
+            r
         })
         .collect();
+
+    let dump = client::get(&addr, "/debug/flight").unwrap().body;
+    let log = tdo_obs::span::parse_flight(&dump).expect("dump parses");
+    let leader_trace = trace_of(&responses[0]);
+    for follower in &responses[1..] {
+        let trace = trace_of(follower);
+        assert!(
+            log.iter().any(|r| r.trace == trace
+                && r.kind == tdo_obs::FlightKind::Coalesce
+                && r.arg == leader_trace),
+            "follower {trace:#x} records a coalesce point naming leader {leader_trace:#x}"
+        );
+    }
+    let bodies = responses.into_iter().map(|r| r.body).collect();
 
     let m = metrics(&addr);
     assert_eq!(counter(&m, "run_ok"), 4, "{m}");
@@ -176,7 +198,7 @@ fn batch_cells_answer_as_single_cells_under_the_request_trace() {
     // the id), and the repeated cell simulates once.
     let batch = post_run(&addr, &format!(r#"{{"cells":[{a},{b},{a}]}}"#));
     assert_eq!(batch.status, 200, "{}", batch.body);
-    let trace = u64::from_str_radix(batch.trace.as_deref().expect("batch trace"), 16).unwrap();
+    let trace = trace_of(&batch);
     let dump = client::get(&addr, "/debug/flight").unwrap().body;
     let log = tdo_obs::span::parse_flight(&dump).expect("dump parses");
     assert!(
@@ -229,6 +251,56 @@ fn cached_hits_never_wait_out_an_accept_poll() {
 
     handle.shutdown();
     t.join().expect("clean shutdown");
+}
+
+/// A warm cache answers repeats without touching the store at all: after
+/// the first (miss, simulate, persist) round trip, N identical requests
+/// move the store's hit/miss counters by exactly zero while the cache hit
+/// counter moves by exactly N.
+#[test]
+fn warm_lru_serves_with_zero_store_reads() {
+    let dir = std::env::temp_dir().join(format!("tdo-lru-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig {
+        workers: 2,
+        queue_cap: 16,
+        store_dir: Some(dir.display().to_string()),
+        shards: 2,
+        cache: 8,
+        ..ServerConfig::default()
+    };
+    let (addr, handle, t) = start_cfg(cfg);
+
+    let cell = r#"{"workload":"mcf","arm":"sr","insts":2000}"#;
+    let first = client::post(&addr, "/run", cell).expect("first POST /run");
+    assert_eq!(first.status, 200, "cold request: {}", first.body);
+
+    let warm = client::get(&addr, "/metrics").expect("GET /metrics").body;
+    const REPEATS: u64 = 5;
+    for i in 0..REPEATS {
+        let rsp = client::post(&addr, "/run", cell).expect("warm POST /run");
+        assert_eq!(rsp.status, 200, "warm request {i}: {}", rsp.body);
+        assert_eq!(rsp.body, first.body, "a cache hit must be byte-identical to the miss");
+    }
+    let after = client::get(&addr, "/metrics").expect("GET /metrics").body;
+
+    for name in ["store_hits", "store_misses"] {
+        assert_eq!(
+            counter(&after, name),
+            counter(&warm, name),
+            "{name} moved on warm repeats; before: {warm}\nafter: {after}"
+        );
+    }
+    assert_eq!(
+        counter(&after, "cache_hits"),
+        counter(&warm, "cache_hits") + REPEATS,
+        "every warm repeat is a cache hit"
+    );
+    assert!(counter(&after, "cache_entries") >= 1, "the warm cell stays resident");
+
+    handle.shutdown();
+    t.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -353,7 +425,7 @@ fn responses_carry_distinct_trace_ids_and_the_flight_dump_validates() {
     // A /run's records land in the recorder under the response's trace id.
     let run = post_run(&addr, r#"{"workload":"swim","arm":"sr","insts":5000}"#);
     assert_eq!(run.status, 200, "{}", run.body);
-    let run_trace = u64::from_str_radix(run.trace.as_deref().expect("run trace"), 16).unwrap();
+    let run_trace = trace_of(&run);
 
     let dump = client::get(&addr, "/debug/flight").unwrap();
     assert_eq!(dump.status, 200);

@@ -8,9 +8,10 @@
 //!
 //! * a declarative [`ExperimentSpec`] enumerating cells up front;
 //! * a [`Runner`] that executes unique cells across `std::thread::scope`
-//!   workers and memoizes each [`SimResult`] under the cell's 64-bit store
-//!   key ([`cell_key`]), so a cell is simulated exactly once per process no
-//!   matter how many figures ask for it;
+//!   workers and keeps each [`SimResult`] in one cell table under the
+//!   cell's 64-bit store key ([`cell_key`]), single-flighting concurrent
+//!   callers, so a cell is simulated exactly once per process no matter how
+//!   many figures or threads ask for it;
 //! * deterministic results: workload generation is seeded *per cell* (every
 //!   generator owns a fixed-seed [`tdo_rand::Rng`]; there is no global
 //!   generator state), so a cell's result is byte-identical whether it runs
@@ -29,20 +30,21 @@
 //! assert_eq!(results.len(), 2);
 //! ```
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use tdo_fault::Site;
 use tdo_mem::ArmKind;
-use tdo_metrics::{Counter, Histogram, Registry};
+use tdo_metrics::{Counter, Gauge, Histogram, Registry};
+use tdo_obs::{span, FlightKind, SpanScope};
 use tdo_store::{ShardedStore, Store};
 use tdo_workloads::{build, Scale};
 
 use crate::config::SimConfig;
+use crate::lru::Lru;
 use crate::machine::run;
 use crate::persist::{self, cell_key};
 use crate::result::SimResult;
@@ -71,10 +73,10 @@ impl Cell {
     /// Two cells with equal fingerprints run the same workload bytes under
     /// the same configuration and therefore produce the same [`SimResult`]:
     /// the debug rendering covers every `SimConfig` field, so a
-    /// formatting-identical configuration is a field-identical one. Every
-    /// per-cell table (memo, store, and the server's cache and
-    /// single-flight map) keys by the 64-bit hash instead; the text itself
-    /// is only printed, where a human reads which cell failed.
+    /// formatting-identical configuration is a field-identical one. Both
+    /// per-cell tables (the runner's cell table and the store) key by the
+    /// 64-bit hash instead; the text itself is only printed, where a human
+    /// reads which cell failed.
     #[must_use]
     pub fn fingerprint(&self) -> String {
         format!("{}|{:?}|{:?}", self.workload, self.scale, self.cfg)
@@ -131,39 +133,97 @@ impl ExperimentSpec {
     }
 }
 
-/// Executes cells in parallel and memoizes their results for the lifetime of
-/// the runner — and, when a persistent store is attached, across processes:
-/// lookups read through the in-memory cache to the store, and fresh
-/// simulations write through to it, so a warm store makes repeat sweeps
-/// perform zero simulations. The store is a [`ShardedStore`] whether it
-/// has one shard (a plain store directory) or many (the serving tier's
-/// layout); the engine never cares which.
+/// Executes cells in parallel and keeps their results in one cell table
+/// for the lifetime of the runner — and, when a persistent store is
+/// attached, across processes: lookups read through the table to the
+/// store, and fresh simulations write through to it, so a warm store makes
+/// repeat sweeps perform zero simulations. The store is a [`ShardedStore`]
+/// whether it has one shard (a plain store directory) or many (the serving
+/// tier's layout); the engine never cares which.
 ///
-/// Memo, store and fault sites all key a cell by [`cell_key`], the 64-bit
+/// The table maps a cell key, under one lock, to a finished result or to
+/// the flight resolving it, which concurrent callers for that key join, so
+/// racing callers simulate a cell once. Finished results beyond the
+/// capacity ([`Runner::with_table`]; unbounded by default) are evicted
+/// least recently used first; flights never are.
+///
+/// Table, store and fault sites all key a cell by [`cell_key`], the 64-bit
 /// FNV-1a of its fingerprint: two distinct cells whose keys collide would
 /// share one result, the same exposure the content-addressed store has
 /// always had.
 pub struct Runner {
     jobs: usize,
-    cache: Mutex<HashMap<u64, Arc<SimResult>>>,
+    table: Mutex<CellTable>,
+    table_metrics: TableMetrics,
     store: Option<Arc<ShardedStore>>,
     sims: Arc<Counter>,
     store_hits: Arc<Counter>,
     store_misses: Arc<Counter>,
     /// Wall time of fresh simulations, one observation per cell.
     cell_wall_us: Arc<Histogram>,
-    /// Trident event-queue totals aggregated once per unique cell (fresh
-    /// or store-recalled), surfacing `TridentStats` drop counts.
+    /// Trident event-queue totals aggregated once per table fill (fresh or
+    /// store-recalled), surfacing `TridentStats` drop counts.
     events_queued: Arc<Counter>,
     events_dropped_saturated: Arc<Counter>,
     events_dropped_duplicate: Arc<Counter>,
-    /// Per-arm prefetch totals aggregated once per unique cell, indexed by
+    /// Per-arm prefetch totals aggregated once per table fill, indexed by
     /// [`ArmKind::index`].
     arm_issued: [Arc<Counter>; ArmKind::COUNT],
     arm_useful: [Arc<Counter>; ArmKind::COUNT],
-    /// Policy-controller arm switches across every unique cell.
+    /// Policy-controller arm switches across every table fill.
     arm_switches: Arc<Counter>,
     failed: Mutex<Vec<String>>,
+}
+
+/// The runner's cell table. A key is in at most one of its two maps.
+struct CellTable {
+    /// Finished results, least recently used evicted first; `None` at
+    /// capacity 0, which keeps none.
+    ready: Option<Lru<u64, Arc<SimResult>>>,
+    /// Resolves in flight. Never evicted: there is at most one per thread
+    /// that is resolving.
+    flights: HashMap<u64, Arc<Flight>>,
+}
+
+impl CellTable {
+    fn new(capacity: usize) -> CellTable {
+        CellTable { ready: (capacity > 0).then(|| Lru::new(capacity)), flights: HashMap::new() }
+    }
+
+    /// The finished result for `key`, marked most recently used.
+    fn get(&mut self, key: u64) -> Option<Arc<SimResult>> {
+        self.ready.as_mut()?.get(&key)
+    }
+}
+
+/// One resolve in flight: its leader publishes the outcome here and every
+/// follower waits for it. The leader's trace id links a follower's flight
+/// records to the request that actually resolved the cell.
+struct Flight {
+    done: Mutex<Option<Result<Arc<SimResult>, String>>>,
+    cv: Condvar,
+    leader_trace: u64,
+}
+
+/// The counters a runner's cell table updates. A caller that exposes them
+/// passes in its own handles ([`Runner::with_table`]); the serving daemon
+/// registers them under its `tdo_server_*` families.
+#[derive(Clone, Default)]
+pub struct TableMetrics {
+    /// Cells answered from a finished result.
+    pub hits: Arc<Counter>,
+    /// Resolves that led or joined a flight.
+    pub misses: Arc<Counter>,
+    /// Finished results evicted beyond capacity.
+    pub evictions: Arc<Counter>,
+    /// Finished results held right now.
+    pub entries: Arc<Gauge>,
+    /// Flights led, counted before the leader's store read or simulation.
+    pub flights_started: Arc<Counter>,
+    /// Flights whose leader has published its outcome.
+    pub flights_finished: Arc<Counter>,
+    /// Resolves that joined another caller's flight.
+    pub joined: Arc<Counter>,
 }
 
 impl Runner {
@@ -178,7 +238,8 @@ impl Runner {
         };
         Runner {
             jobs,
-            cache: Mutex::new(HashMap::new()),
+            table: Mutex::new(CellTable::new(usize::MAX)),
+            table_metrics: TableMetrics::default(),
             store: None,
             sims: Arc::new(Counter::new()),
             store_hits: Arc::new(Counter::new()),
@@ -198,6 +259,17 @@ impl Runner {
     #[must_use]
     pub fn with_store(jobs: usize, store: Arc<ShardedStore>) -> Runner {
         Runner { store: Some(store), ..Runner::new(jobs) }
+    }
+
+    /// Caps the finished results the cell table keeps at `capacity` cells,
+    /// evicting the least recently used beyond it, and has the table
+    /// update `metrics`. `0` keeps none: concurrent callers still share
+    /// one flight, but a repeat reads the store, or re-simulates without
+    /// one. The daemon caps its table at `--cache`; the CLI and bench
+    /// runners stay unbounded.
+    #[must_use]
+    pub fn with_table(self, capacity: usize, metrics: TableMetrics) -> Runner {
+        Runner { table: Mutex::new(CellTable::new(capacity)), table_metrics: metrics, ..self }
     }
 
     /// Creates a runner over `shards` shards (`<= 1` = the root itself; see
@@ -235,8 +307,8 @@ impl Runner {
         self.store.as_ref()
     }
 
-    /// Simulations actually executed by this runner (excludes memoized and
-    /// store-served cells).
+    /// Simulations actually executed by this runner (excludes cells served
+    /// from the cell table or the store).
     #[must_use]
     pub fn sims_run(&self) -> u64 {
         self.sims.get()
@@ -254,21 +326,21 @@ impl Runner {
         self.store_misses.get()
     }
 
-    /// Trident events queued across every unique cell this runner has
-    /// produced (fresh or store-recalled).
+    /// Trident events queued across every table fill (fresh or
+    /// store-recalled): once per distinct cell for an unbounded runner.
     #[must_use]
     pub fn events_queued(&self) -> u64 {
         self.events_queued.get()
     }
 
-    /// Trident event-queue drops across every unique cell, as
+    /// Trident event-queue drops across every table fill, as
     /// `(dropped_saturated, dropped_duplicate)`.
     #[must_use]
     pub fn events_dropped(&self) -> (u64, u64) {
         (self.events_dropped_saturated.get(), self.events_dropped_duplicate.get())
     }
 
-    /// Policy-controller arm switches across every unique cell.
+    /// Policy-controller arm switches across every table fill.
     #[must_use]
     pub fn arm_switches(&self) -> u64 {
         self.arm_switches.get()
@@ -351,9 +423,9 @@ impl Runner {
         }
     }
 
-    /// Folds one unique cell's Trident queue totals and per-arm prefetch
-    /// totals into the registry counters. Called exactly once per distinct
-    /// cell key.
+    /// Folds one cell's Trident queue totals and per-arm prefetch totals
+    /// into the registry counters. Called once per table fill: a cell
+    /// evicted and filled again folds again.
     fn account_result(&self, r: &SimResult) {
         self.events_queued.add(r.trident.events_queued);
         self.events_dropped_saturated.add(r.trident.events_dropped_saturated);
@@ -386,17 +458,19 @@ impl Runner {
         ))
     }
 
-    /// Number of distinct cells memoized in this process so far.
+    /// Finished results the cell table holds right now: every distinct
+    /// cell resolved so far for an unbounded runner, at most the capacity
+    /// otherwise.
     #[must_use]
     pub fn cells_cached(&self) -> usize {
-        self.lock_cache().len()
+        self.lock_table().ready.as_ref().map_or(0, Lru::len)
     }
 
-    /// Locks the memo cache, recovering from poisoning: a panicking worker
-    /// must not cascade into unrelated cells (they re-simulate; the map is
-    /// only ever observed with complete entries).
-    fn lock_cache(&self) -> MutexGuard<'_, HashMap<u64, Arc<SimResult>>> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Locks the cell table, recovering from poisoning: a panicking worker
+    /// must not cascade into unrelated cells (no simulation runs under the
+    /// lock, and the table is only ever observed with complete entries).
+    fn lock_table(&self) -> MutexGuard<'_, CellTable> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn lock_failed(&self) -> MutexGuard<'_, Vec<String>> {
@@ -444,51 +518,101 @@ impl Runner {
         );
     }
 
-    /// Runs (or recalls) a single cell: memo cache, then store, then a
-    /// fresh simulation (written through to the store).
+    /// Runs (or recalls) a single cell through [`Runner::resolve`].
     ///
     /// # Panics
     ///
-    /// Panics on an unknown workload name.
+    /// Panics if the simulation panics (e.g. on an unknown workload name).
     #[must_use]
     pub fn run_cell(&self, cell: &Cell) -> Arc<SimResult> {
-        self.run_keyed(cell, cell_key(cell))
+        self.resolve(cell, cell_key(cell)).map(|(r, _)| r).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Runner::run_cell`] for a caller that already holds the cell's
-    /// key, which must be `cell_key(cell)`: the server computes it once
-    /// per request cell for its cache and single-flight map.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown workload name.
-    #[must_use]
-    pub fn run_keyed(&self, cell: &Cell, key: u64) -> Arc<SimResult> {
-        let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::RunCell, key);
-        self.resolve(cell, key)
+    /// The finished result of every key, each marked most recently used,
+    /// or `None` if any key has none. Counts the hits only when every key
+    /// hits: the server's accept thread answers a whole request from here
+    /// or queues it whole.
+    pub fn lookup(&self, keys: impl IntoIterator<Item = u64>) -> Option<Vec<Arc<SimResult>>> {
+        let results = {
+            let mut table = self.lock_table();
+            keys.into_iter().map(|key| table.get(key)).collect::<Option<Vec<_>>>()?
+        };
+        self.table_metrics.hits.add(results.len() as u64);
+        Some(results)
     }
 
-    /// The one resolve step behind [`Runner::run_keyed`] and
-    /// [`Runner::run_spec`]: memo cache, then store, then a fresh
-    /// simulation persisted to the store, then a memo insert. Only the
-    /// insert that fills a vacant slot folds the result into the registry
-    /// counters, so racing resolvers of one cell count it once.
-    fn resolve(&self, cell: &Cell, key: u64) -> Arc<SimResult> {
-        if let Some(r) = self.lock_cache().get(&key) {
-            return Arc::clone(r);
+    /// The one resolve step behind [`Runner::run_cell`],
+    /// [`Runner::run_spec`] and the server (`key` must be `cell_key(cell)`):
+    /// a finished result, else a flight. The first caller for the key leads
+    /// it (the store, else a fresh simulation written through to it),
+    /// fills the table and folds the result into the registry counters;
+    /// concurrent callers join it and wait. Returns the result and whether
+    /// this call joined another caller's flight.
+    ///
+    /// # Errors
+    ///
+    /// The flight's simulation panicked. Its leader leaves no slot behind,
+    /// so a later call retries.
+    pub fn resolve(&self, cell: &Cell, key: u64) -> Result<(Arc<SimResult>, bool), String> {
+        let t = &self.table_metrics;
+        let (flight, leader) = {
+            let mut table = self.lock_table();
+            if let Some(r) = table.get(key) {
+                t.hits.inc();
+                return Ok((r, false));
+            }
+            t.misses.inc();
+            match table.flights.get(&key) {
+                Some(f) => (Arc::clone(f), false),
+                None => {
+                    let f = Arc::new(Flight {
+                        done: Mutex::new(None),
+                        cv: Condvar::new(),
+                        leader_trace: span::current().trace,
+                    });
+                    table.flights.insert(key, Arc::clone(&f));
+                    t.flights_started.inc();
+                    (f, true)
+                }
+            }
+        };
+        if !leader {
+            t.joined.inc();
+            // Links this follower to the leader's trace, so the two
+            // requests can be joined in a flight dump.
+            span::point(FlightKind::Coalesce, flight.leader_trace);
+            let mut done = flight.done.lock().unwrap_or_else(PoisonError::into_inner);
+            while done.is_none() {
+                done = flight.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
+            }
+            return done.clone().expect("the wait ends on a published outcome").map(|r| (r, true));
         }
-        let r = self.recall_store(key).unwrap_or_else(|| {
-            let r = self.simulate_timed(cell, key);
-            self.persist(cell, key, &r);
-            r
-        });
-        match self.lock_cache().entry(key) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
-            Entry::Vacant(v) => {
-                self.account_result(&r);
-                Arc::clone(v.insert(Arc::new(r)))
+        let result = {
+            let _span = SpanScope::enter(FlightKind::RunCell, key);
+            catch_unwind(AssertUnwindSafe(|| {
+                self.recall_store(key).unwrap_or_else(|| {
+                    let r = self.simulate_timed(cell, key);
+                    self.persist(cell, key, &r);
+                    r
+                })
+            }))
+            .map(Arc::new)
+            .map_err(|_| format!("simulation panicked for workload `{}`", cell.workload))
+        };
+        let mut table = self.lock_table();
+        table.flights.remove(&key);
+        if let Ok(r) = &result {
+            self.account_result(r);
+            if let Some(ready) = table.ready.as_mut() {
+                t.evictions.add(u64::from(ready.put(key, Arc::clone(r)).is_some()));
+                t.entries.set(ready.len() as u64);
             }
         }
+        drop(table);
+        *flight.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(result.clone());
+        flight.cv.notify_all();
+        t.flights_finished.inc();
+        result.map(|r| (r, false))
     }
 
     /// Runs one fresh simulation, counting it and timing its wall clock.
@@ -503,13 +627,13 @@ impl Runner {
         result
     }
 
-    /// Runs a whole spec: unique un-memoized cells execute across up to
-    /// `jobs` scoped worker threads; the returned vector matches
-    /// `spec.cells` element for element.
+    /// Runs a whole spec: its unique cells resolve across up to `jobs`
+    /// scoped worker threads; the returned vector matches `spec.cells`
+    /// element for element, duplicate cells sharing one result.
     ///
-    /// A cell whose simulation panics does not cascade: the panic is caught
-    /// on the worker, the cell is recorded (see [`Runner::failed_cells`]),
-    /// and every other cell still completes (and persists to the store).
+    /// A cell whose simulation panics does not cascade: the cell is
+    /// recorded (see [`Runner::failed_cells`]), and every other cell still
+    /// completes (and persists to the store).
     ///
     /// # Panics
     ///
@@ -517,49 +641,50 @@ impl Runner {
     /// naming the offenders.
     #[must_use]
     pub fn run_spec(&self, spec: &ExperimentSpec) -> Vec<Arc<SimResult>> {
-        let keys: Vec<u64> = spec.cells.iter().map(cell_key).collect();
-        // Unique cells not already memoized, in first-appearance order so a
-        // serial runner (jobs=1) visits them deterministically.
-        let mut pending: Vec<(&Cell, u64)> = Vec::new();
-        {
-            let cache = self.lock_cache();
-            let mut seen = HashSet::new();
-            for (cell, &key) in spec.cells.iter().zip(&keys) {
-                if !cache.contains_key(&key) && seen.insert(key) {
-                    pending.push((cell, key));
-                }
-            }
-        }
-        if !pending.is_empty() {
-            let next = AtomicUsize::new(0);
-            let workers = self.jobs.min(pending.len());
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(cell, key)) = pending.get(i) else { break };
-                        let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::RunCell, key);
-                        if let Some(token) = tdo_fault::fire_keyed(Site::EngineHelperJitter, key) {
-                            // Injected helper-job delay: perturbs scheduling
-                            // only; results must stay byte-identical.
-                            std::thread::sleep(std::time::Duration::from_micros(token % 1_500));
-                        }
-                        let resolved = catch_unwind(AssertUnwindSafe(|| self.resolve(cell, key)));
-                        if resolved.is_err() {
-                            self.lock_failed().push(cell.fingerprint());
-                        }
-                    });
-                }
-            });
-        }
-        let failed = self.lock_failed();
-        let cache = self.lock_cache();
-        let results: Vec<Arc<SimResult>> = spec
+        // Unique cells in first-appearance order, so a serial runner
+        // (jobs=1) visits them deterministically; `slots[i]` is spec cell
+        // i's index among them.
+        let mut unique: Vec<(&Cell, u64)> = Vec::new();
+        let mut seen: HashMap<u64, usize> = HashMap::new();
+        let slots: Vec<usize> = spec
             .cells
             .iter()
-            .zip(&keys)
-            .map(|(c, key)| {
-                cache.get(key).cloned().unwrap_or_else(|| {
+            .map(|cell| {
+                let key = cell_key(cell);
+                *seen.entry(key).or_insert_with(|| {
+                    unique.push((cell, key));
+                    unique.len() - 1
+                })
+            })
+            .collect();
+        // Each result as its own resolve returned it: a bounded table may
+        // evict it again before the spec completes.
+        let resolved: Vec<OnceLock<Arc<SimResult>>> =
+            unique.iter().map(|_| OnceLock::new()).collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..self.jobs.min(unique.len()) {
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&(cell, key)) = unique.get(i) else { break };
+                    if let Some(token) = tdo_fault::fire_keyed(Site::EngineHelperJitter, key) {
+                        // Injected helper-job delay: perturbs scheduling
+                        // only; results must stay byte-identical.
+                        std::thread::sleep(std::time::Duration::from_micros(token % 1_500));
+                    }
+                    match self.resolve(cell, key) {
+                        Ok((r, _)) => _ = resolved[i].set(r),
+                        Err(_) => self.lock_failed().push(cell.fingerprint()),
+                    }
+                });
+            }
+        });
+        let failed = self.lock_failed();
+        spec.cells
+            .iter()
+            .zip(slots)
+            .map(|(c, i)| {
+                resolved[i].get().cloned().unwrap_or_else(|| {
                     panic!(
                         "{} cell(s) failed to simulate (first: `{}` on workload `{}`)",
                         failed.len(),
@@ -568,8 +693,7 @@ impl Runner {
                     )
                 })
             })
-            .collect();
-        results
+            .collect()
     }
 }
 

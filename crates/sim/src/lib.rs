@@ -21,6 +21,7 @@
 
 pub mod config;
 pub mod engine;
+pub mod lru;
 pub mod machine;
 pub mod persist;
 pub mod profile;
@@ -29,7 +30,7 @@ pub mod result;
 pub mod timeline;
 
 pub use config::{policy_candidates, JobCostModel, PolicyConfig, PrefetchSetup, SimConfig};
-pub use engine::{Cell, ExperimentSpec, Runner};
+pub use engine::{Cell, ExperimentSpec, Runner, TableMetrics};
 pub use machine::{run, run_profiled, run_traced, Machine};
 pub use persist::{cell_key, decode_result, encode_result, SCHEMA_VERSION};
 pub use profile::{MachineProfile, MachineProfiler};

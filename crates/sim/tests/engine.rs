@@ -1,10 +1,13 @@
 //! Determinism and memoization guarantees of the experiment engine: a cell's
 //! result is identical run-to-run, across worker counts, and whether it is
-//! simulated fresh or recalled from the memo cache.
+//! simulated fresh or recalled from the cell table; and the table
+//! single-flights racing callers at any capacity.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
-use tdo_sim::{Cell, ExperimentSpec, PrefetchSetup, Runner, SimConfig, SimResult};
+use tdo_sim::{
+    cell_key, Cell, ExperimentSpec, PrefetchSetup, Runner, SimConfig, SimResult, TableMetrics,
+};
 use tdo_workloads::Scale;
 
 /// A short but non-trivial cell (exercises the optimizer path).
@@ -71,8 +74,8 @@ fn spec_results_match_cell_order_across_shared_arms() {
 #[test]
 fn racing_specs_fold_one_cell_into_the_counters_once() {
     // Two threads `run_spec` the same uncached cell at once on one runner:
-    // both may simulate it, but the registry counters must read as for a
-    // single run, and the memo holds the cell once.
+    // one simulates it and the other waits on its flight, so the registry
+    // counters read as for a single run, and the table holds the cell once.
     let c = cell("mcf", PrefetchSetup::SwSelfRepair);
     let single = Runner::new(1);
     let _ = single.run_cell(&c);
@@ -82,7 +85,7 @@ fn racing_specs_fold_one_cell_into_the_counters_once() {
     let runner = Runner::new(1);
     let mut spec = ExperimentSpec::new();
     spec.push(c);
-    let barrier = std::sync::Barrier::new(2);
+    let barrier = Barrier::new(2);
     std::thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
@@ -92,5 +95,63 @@ fn racing_specs_fold_one_cell_into_the_counters_once() {
         }
     });
     assert_eq!(counts(&runner), counts(&single));
+    assert_eq!(runner.sims_run(), 1);
+    assert_eq!(runner.cells_cached(), 1);
+}
+
+#[test]
+fn run_spec_returns_every_result_past_a_capacity_that_evicts_them() {
+    // At capacity 1 each resolve evicts the previous cell, so the spec's
+    // results must come from the resolves themselves, not the table.
+    let cells = [
+        cell("swim", PrefetchSetup::NoPrefetch),
+        cell("art", PrefetchSetup::Hw8x8),
+        cell("mcf", PrefetchSetup::SwSelfRepair),
+    ];
+    let mut spec = ExperimentSpec::new();
+    for c in &cells {
+        spec.push(c.clone());
+    }
+    spec.push(cells[0].clone());
+    let runner = Runner::new(2).with_table(1, TableMetrics::default());
+    let rs = runner.run_spec(&spec);
+    let want: Vec<String> = cells.iter().map(|c| render(&c.simulate())).collect();
+    let got: Vec<String> = rs.iter().map(|r| render(r)).collect();
+    assert_eq!(got[..3], want[..], "results in spec order");
+    assert!(Arc::ptr_eq(&rs[0], &rs[3]), "duplicate cells share one result");
+    assert_eq!(runner.sims_run(), 3);
+    assert_eq!(runner.cells_cached(), 1);
+}
+
+#[test]
+fn racing_callers_of_a_failing_cell_all_fail_and_leave_no_slot() {
+    let bad = cell("no-such-workload", PrefetchSetup::NoPrefetch);
+    let key = cell_key(&bad);
+    let table = TableMetrics::default();
+    let runner = Runner::new(1).with_table(usize::MAX, table.clone());
+    let barrier = Barrier::new(4);
+    std::thread::scope(|s| {
+        let callers: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    runner.resolve(&bad, key)
+                })
+            })
+            .collect();
+        for c in callers {
+            let outcome = c.join().expect("resolve returns its panic as an error");
+            let err = outcome.expect_err("every caller sees the failure");
+            assert!(err.contains("no-such-workload"), "{err}");
+        }
+    });
+    assert_eq!(table.flights_started.get(), table.flights_finished.get(), "no flight left open");
+    assert_eq!(runner.cells_cached(), 0);
+    // With no slot left behind, a retry leads a fresh flight and fails
+    // again instead of waiting forever, and a good cell resolves normally.
+    assert!(runner.resolve(&bad, key).is_err());
+    let good = cell("mcf", PrefetchSetup::NoPrefetch);
+    let r = runner.run_cell(&good);
+    assert_eq!(render(&r), render(&good.simulate()));
     assert_eq!(runner.cells_cached(), 1);
 }

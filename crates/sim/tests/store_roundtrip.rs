@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tdo_sim::{Cell, ExperimentSpec, PrefetchSetup, Runner, SimConfig};
+use tdo_sim::{Cell, ExperimentSpec, PrefetchSetup, Runner, SimConfig, TableMetrics};
 use tdo_store::ShardedStore;
 use tdo_workloads::Scale;
 
@@ -105,6 +105,25 @@ fn run_cell_reads_through_and_writes_through() {
     let c = second.run_cell(&cell);
     assert_eq!((second.sims_run(), second.store_hits(), second.store_misses()), (0, 1, 0));
     assert_eq!(format!("{a:?}"), format!("{c:?}"));
+}
+
+/// A bounded table evicts the least recently used result, and a later
+/// resolve of that cell reads it back from the store, not the simulator.
+#[test]
+fn an_evicted_cell_is_read_back_from_the_store() {
+    let dir = TestDir::new("evict");
+    let runner = Runner::with_store(1, dir.store()).with_table(2, TableMetrics::default());
+    let [a, b, c] = ["mcf", "swim", "art"].map(|w| quick_cell(w, PrefetchSetup::NoPrefetch));
+    let first = runner.run_cell(&a);
+    let _ = runner.run_cell(&b);
+    let _ = runner.run_cell(&c);
+    assert_eq!(runner.cells_cached(), 2);
+    assert_eq!((runner.sims_run(), runner.store_hits()), (3, 0));
+
+    let again = runner.run_cell(&a);
+    assert_eq!((runner.sims_run(), runner.store_hits()), (3, 1), "one store hit, no simulation");
+    assert_eq!(format!("{first:?}"), format!("{again:?}"));
+    assert_eq!(runner.cells_cached(), 2);
 }
 
 /// A storeless runner reports no summary and counts only simulations.
