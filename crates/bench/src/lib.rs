@@ -25,7 +25,6 @@
 
 pub mod chaos;
 pub mod loadgen;
-pub mod perf;
 
 use std::sync::Arc;
 

@@ -53,7 +53,6 @@ const COMMANDS: &[(&str, &str)] = &[
     ("ping", "HTTP client for a running daemon: ping <addr> [opts]"),
     ("top", "live health dashboard over /metrics/history: top <addr> [opts]"),
     ("why", "decision-audit ledger narration: why <workload> [opts]"),
-    ("perf", "throughput baseline + regression gate: perf [opts]"),
     ("chaos", "seeded fault-injection + crash-recovery sweep: chaos [opts]"),
     ("loadgen", "seeded traffic-mix replay against a daemon: loadgen <addr> [opts]"),
 ];
@@ -120,15 +119,6 @@ fn usage_text() -> String {
          \x20 narrates the run's decision-audit ledger: every distance repair\n\
          \x20 under --arm plus every policy arm switch, with the windowed\n\
          \x20 latency / milli-IPC / milli-MPKI evidence behind each decision\n\
-         \nperf options:\n\
-         \x20 --quick                   test-scale suite (CI-sized)\n\
-         \x20 --jobs <N>                parallel engine workers for phase A\n\
-         \x20 --insts <N>               measured-instruction override\n\
-         \x20 --out <path>              write the BENCH_PR6.json baseline\n\
-         \x20 --check <path>            gate against a committed baseline\n\
-         \x20 --tolerance <pct>         allowed throughput regression (default 15)\n\
-         \x20 --format <table|csv|json> summary rendering\n\
-         \x20 --store-dir / --no-store  as above\n\
          \nchaos options:\n\
          \x20 --seed <N>                fault-plan seed (default 1); the whole\n\
          \x20                           sweep is a pure function of it\n\
@@ -1313,66 +1303,6 @@ fn cmd_why(name: &str, o: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `tdo perf`: the throughput-baseline pipeline (see `tdo_bench::perf`).
-fn cmd_perf(args: &[String]) -> Result<ExitCode, String> {
-    // Like run/compare, the CLI reads through the persistent store unless
-    // `--no-store` asks otherwise (the programmatic default is storeless).
-    let mut o = tdo_bench::perf::PerfOpts { no_store: false, ..Default::default() };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => o.quick = true,
-            "--no-store" => o.no_store = true,
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                o.jobs = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
-            }
-            "--insts" => {
-                let v = it.next().ok_or("--insts needs a value")?;
-                o.insts = Some(v.parse().map_err(|_| format!("bad --insts `{v}`"))?);
-            }
-            "--out" => o.out = Some(it.next().ok_or("--out needs a path")?.clone()),
-            "--check" => o.check = Some(it.next().ok_or("--check needs a path")?.clone()),
-            "--tolerance" => {
-                let v = it.next().ok_or("--tolerance needs a value")?;
-                o.tolerance = v.parse().map_err(|_| format!("bad --tolerance `{v}`"))?;
-                if o.tolerance > 100 {
-                    return Err("--tolerance is a percentage (0-100)".into());
-                }
-            }
-            "--format" => {
-                let v = it.next().ok_or("--format needs a value")?;
-                o.format = v.parse()?;
-            }
-            "--store-dir" => {
-                o.store_dir = Some(it.next().ok_or("--store-dir needs a directory")?.clone());
-                o.no_store = false;
-            }
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let outcome = tdo_bench::perf::measure(&o);
-    print!("{}", outcome.table);
-    if let Some(summary) = &outcome.store_summary {
-        eprintln!("{summary}");
-    }
-    if let Some(path) = &o.out {
-        std::fs::write(path, &outcome.json).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote baseline to {path}");
-    }
-    if let Some(path) = &o.check {
-        let baseline =
-            std::fs::read_to_string(path).map_err(|e| format!("read baseline {path}: {e}"))?;
-        // Attribution first, verdict second: when the gate fails, the table
-        // saying *which phase* regressed is the part worth reading.
-        print!("{}", tdo_bench::perf::phase_delta_table(&baseline, &outcome.json));
-        let verdict =
-            tdo_bench::perf::check_against(&baseline, outcome.insts_per_sec, o.tolerance)?;
-        println!("{verdict}");
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 /// `tdo chaos`: the deterministic fault-injection sweep (see
 /// `tdo_bench::chaos`). Exits nonzero when any chaos invariant is violated.
 fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
@@ -1484,7 +1414,6 @@ fn dispatch(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
         "store" => cmd_store(args),
         "ping" => cmd_ping(args),
         "top" => cmd_top(args),
-        "perf" => cmd_perf(args),
         "chaos" => cmd_chaos(args),
         "loadgen" => cmd_loadgen(args),
         "run" | "compare" | "disasm" | "traces" | "timeline" | "why" => {

@@ -212,47 +212,6 @@ fn sigint_stops_the_daemon_cleanly() {
 }
 
 #[test]
-fn perf_baseline_is_deterministic_and_gates() {
-    let dir = TestDir::new("perf");
-    fs::create_dir_all(&dir.0).expect("mkdir");
-    let a_path = format!("{}/a.json", dir.path());
-    let b_path = format!("{}/b.json", dir.path());
-    let common: &[&str] = &["perf", "--quick", "--insts", "3000", "--no-store"];
-
-    // Same suite under 1 and 4 engine workers: the baselines must agree
-    // byte-for-byte once wall-clock keys are stripped.
-    let table = ok(&[common, &["--jobs", "1", "--out", &a_path]].concat());
-    assert!(table.contains("total throughput:"), "{table}");
-    ok(&[common, &["--jobs", "4", "--out", &b_path]].concat());
-    let strip = |p: &str| {
-        fs::read_to_string(p)
-            .expect("baseline written")
-            .lines()
-            .filter(|l| !l.contains("\"wall_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&a_path), strip(&b_path), "worker count leaked into the baseline");
-
-    // Self-check against the just-written baseline passes at any sane
-    // tolerance (100% floors the gate at zero — immune to host noise).
-    let checked = ok(&[common, &["--check", &a_path, "--tolerance", "100"]].concat());
-    assert!(checked.contains("throughput ok"), "{checked}");
-
-    // An absurdly fast fake baseline trips the gate.
-    let fake = format!("{}/fake.json", dir.path());
-    fs::write(&fake, "{\n  \"wall_total_insts_per_sec\": 18446744073709551615\n}\n")
-        .expect("write fake baseline");
-    let failed = tdo(&[common, &["--check", &fake, "--tolerance", "0"]].concat());
-    assert!(!failed.status.success(), "gate must fail against an unreachable baseline");
-    assert!(
-        String::from_utf8_lossy(&failed.stderr).contains("throughput regression"),
-        "stderr: {}",
-        String::from_utf8_lossy(&failed.stderr)
-    );
-}
-
-#[test]
 fn why_narrates_repairs_and_arm_switches_with_evidence() {
     let store = TestDir::new("why");
     // phaseshift: the self-repair arm repairs distances and the policy

@@ -66,10 +66,4 @@ impl Commit {
     pub fn is_cond_branch(&self) -> bool {
         matches!(self.kind, CommitKind::Branch { .. })
     }
-
-    /// Whether this commit is a demand load.
-    #[must_use]
-    pub fn is_load(&self) -> bool {
-        matches!(self.kind, CommitKind::Load { .. })
-    }
 }

@@ -338,8 +338,16 @@ pub fn summary() -> Vec<SiteSummary> {
 mod tests {
     use super::*;
 
+    /// Holds the arming gate, so no sibling test's plan is armed while a
+    /// test probes the disarmed plane: an unguarded `fire` would count as
+    /// a hit on that plan and shift its hit-index schedule.
+    fn disarmed() -> MutexGuard<'static, ()> {
+        gate().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn disarmed_plane_never_fires_and_counts_nothing() {
+        let _gate = disarmed();
         assert!(!is_armed());
         for site in Site::ALL {
             assert_eq!(fire(site), None);
@@ -396,6 +404,7 @@ mod tests {
             assert!(is_armed());
             assert!(fire(Site::ServerReadFail).is_some());
         }
+        let _gate = disarmed();
         assert!(!is_armed());
         assert_eq!(fire(Site::ServerReadFail), None);
         assert!(summary().is_empty());

@@ -2,8 +2,9 @@
 //! reproduce the exact same acknowledgement pattern, and read-path
 //! corruption must quarantine — never serve garbage.
 //!
-//! Phases that must not see faults arm an all-off plan; the plane's gate
-//! serializes them against sibling tests' armed phases.
+//! Phases that must not see faults, opening a store included, arm an
+//! all-off plan; the plane's gate serializes them against sibling tests'
+//! armed phases.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -48,7 +49,10 @@ fn payload(key: u64) -> Vec<u64> {
 /// One seeded write sweep: 40 puts under probabilistic faults on every
 /// write-path site. Returns (acked keys, per-write-site fires).
 fn write_sweep(seed: u64, dir: &Path) -> (Vec<u64>, u64) {
-    let store = Store::open(dir).expect("open scratch store");
+    let store = {
+        let _quiet = arm(FaultPlan::new(0));
+        Store::open(dir).expect("open scratch store")
+    };
     let guard = arm(FaultPlan::new(seed)
         .with_prob(Site::StoreShortWrite, 150)
         .with_prob(Site::StoreFsyncFail, 120)
@@ -90,13 +94,14 @@ fn read_corruption_quarantines_and_never_serves_garbage() {
     let dir = TempDir::new("corrupt");
     let keys = 24u64;
     let (served, quarantined) = {
-        let store = Store::open(dir.path()).expect("open scratch store");
-        {
+        let store = {
             let _quiet = arm(FaultPlan::new(0));
+            let store = Store::open(dir.path()).expect("open scratch store");
             for key in 1..=keys {
                 store.put(key, SCHEMA, &payload(key)).expect("clean put");
             }
-        }
+            store
+        };
         let _g = arm(FaultPlan::new(0xC0DE).with_prob(Site::StoreReadCorrupt, 400));
         let mut served = Vec::new();
         let mut quarantined = 0u64;

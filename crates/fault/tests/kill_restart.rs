@@ -3,8 +3,9 @@
 //! store (drop) and restart it (reopen) — no acknowledged record may be
 //! lost and the log must rescan clean at every injection point.
 //!
-//! Phases that must *not* see faults arm an all-off plan: the plane's gate
-//! mutex then serializes them against the armed phases of sibling tests.
+//! Phases that must *not* see faults, opening a store included, arm an
+//! all-off plan: the plane's gate mutex then serializes them against the
+//! armed phases of sibling tests.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -58,7 +59,10 @@ fn every_write_site_and_injection_point_recovers_all_acked_records() {
             let fires;
             {
                 // Arm *after* open: opening commits the log header itself.
-                let store = Store::open(dir.path()).expect("open scratch store");
+                let store = {
+                    let _quiet = arm(FaultPlan::new(0));
+                    Store::open(dir.path()).expect("open scratch store")
+                };
                 let guard = arm(FaultPlan::new(0xAB00 ^ nth).with_at(site, nth));
                 acked = (1..=9u64)
                     .filter(|&key| store.put(key, SCHEMA, &payload(key)).is_ok())
@@ -92,7 +96,10 @@ fn every_write_site_and_injection_point_recovers_all_acked_records() {
 fn a_torn_append_never_costs_later_records() {
     let dir = TempDir::new("torn");
     {
-        let store = Store::open(dir.path()).expect("open scratch store");
+        let store = {
+            let _quiet = arm(FaultPlan::new(0));
+            Store::open(dir.path()).expect("open scratch store")
+        };
         let _g = arm(FaultPlan::new(0x70).with_at(Site::StoreShortWrite, 2));
         assert!(store.put(1, SCHEMA, &payload(1)).is_ok());
         assert!(store.put(2, SCHEMA, &payload(2)).is_err(), "injected short write");

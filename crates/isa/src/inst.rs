@@ -347,12 +347,6 @@ impl Inst {
         }
     }
 
-    /// Whether this instruction reads data memory.
-    #[must_use]
-    pub fn is_load(&self) -> bool {
-        matches!(self, Inst::Load { .. })
-    }
-
     /// Whether this is any control transfer (branch, jump, or halt).
     #[must_use]
     pub fn is_control(&self) -> bool {

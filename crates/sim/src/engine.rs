@@ -340,18 +340,6 @@ impl Runner {
         (self.events_dropped_saturated.get(), self.events_dropped_duplicate.get())
     }
 
-    /// Policy-controller arm switches across every table fill.
-    #[must_use]
-    pub fn arm_switches(&self) -> u64 {
-        self.arm_switches.get()
-    }
-
-    /// Snapshot of the fresh-simulation wall-time histogram.
-    #[must_use]
-    pub fn cell_wall_us(&self) -> tdo_metrics::HistogramSnapshot {
-        self.cell_wall_us.snapshot()
-    }
-
     /// Registers the runner's counters and histograms (and, when a store
     /// is attached, the store's) with `reg`. Call at most once per
     /// registry.
@@ -740,7 +728,7 @@ mod tests {
                 first,
                 "memoized re-run must not re-count (jobs={jobs})"
             );
-            assert_eq!(runner.cell_wall_us().count, 2, "one wall sample per fresh sim");
+            assert_eq!(runner.cell_wall_us.snapshot().count, 2, "one wall sample per fresh sim");
             totals.push(first);
         }
         assert_eq!(totals[0], totals[1], "queue totals independent of worker count");

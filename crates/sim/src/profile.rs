@@ -13,22 +13,18 @@
 //! Wall-time numbers are host measurements and therefore
 //! nondeterministic; everything else (simulated cycles, job counts) is
 //! part of the deterministic simulation. Consumers that need
-//! reproducible output (`tdo perf`) must segregate the wall fields.
+//! reproducible output must segregate the wall fields.
+//!
+//! The benchmark (`perfbench/`) is the one consumer outside tests: its
+//! traced passes (`--trace 1`) print the phase split as `cpu.cycle_ms`,
+//! `trident.monitors_ms`, `trident.events_ms`, `core.commit_ms` and
+//! `sim.other_ms`. Its untraced passes, whose `sim_insts_per_s` CI gates,
+//! run no profiler.
 
 use tdo_obs::{HelperJobKind, PhaseTimer};
 
 /// Number of driver phases a step is split into.
 pub const NPHASES: usize = 6;
-
-/// Phase names, indexed by the constants below.
-pub const PHASE_NAMES: [&str; NPHASES] = [
-    "core_fetch_execute_mem",
-    "trident_monitors",
-    "sampling",
-    "trident_events",
-    "optimizer_commit",
-    "mature_clear",
-];
 
 /// The core's fetch/execute/mem cycle (including commit buffering).
 pub const PHASE_CORE: usize = 0;
@@ -47,10 +43,6 @@ pub const PHASE_MATURE: usize = 5;
 
 /// Number of helper-context job kinds tracked.
 pub const NKINDS: usize = 4;
-
-/// Job-kind names, in [`kind_index`] order.
-pub const KIND_NAMES: [&str; NKINDS] =
-    ["form_trace", "insert_prefetches", "repair_distance", "analyze_only"];
 
 /// The fixed index of a helper-job kind.
 #[must_use]
@@ -96,36 +88,19 @@ impl MachineProfiler {
 /// The finished profile returned by a profiled run.
 #[derive(Debug, Clone, Default)]
 pub struct MachineProfile {
-    /// Host nanoseconds attributed to each driver phase
-    /// (see [`PHASE_NAMES`]).
+    /// Host nanoseconds attributed to each driver phase, indexed by the
+    /// `PHASE_*` constants.
     pub phase_wall_ns: [u64; NPHASES],
     /// Host nanoseconds for the whole run (superset of the phases:
     /// includes setup and result assembly).
     pub run_wall_ns: u64,
     /// Total simulated cycles of the run.
     pub cycles: u64,
-    /// Simulated helper-context cycles per job kind
-    /// (see [`KIND_NAMES`]).
+    /// Simulated helper-context cycles per job kind, in [`kind_index`]
+    /// order.
     pub helper_cycles: [u64; NKINDS],
     /// Helper jobs finished per kind.
     pub helper_jobs: [u64; NKINDS],
-}
-
-impl MachineProfile {
-    /// `(name, wall_ns)` pairs for every phase.
-    pub fn phases(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        PHASE_NAMES.iter().copied().zip(self.phase_wall_ns.iter().copied())
-    }
-
-    /// `(name, simulated_cycles, jobs)` triples for every helper kind.
-    pub fn helper_kinds(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
-        KIND_NAMES
-            .iter()
-            .copied()
-            .zip(self.helper_cycles.iter().copied())
-            .zip(self.helper_jobs.iter().copied())
-            .map(|((n, c), j)| (n, c, j))
-    }
 }
 
 #[cfg(test)]
@@ -146,9 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn names_and_indices_agree() {
-        assert_eq!(PHASE_NAMES.len(), NPHASES);
-        assert_eq!(KIND_NAMES.len(), NKINDS);
+    fn kind_indices_follow_declaration_order() {
         for (i, kind) in [
             HelperJobKind::FormTrace,
             HelperJobKind::InsertPrefetches,
@@ -159,7 +132,6 @@ mod tests {
         .enumerate()
         {
             assert_eq!(kind_index(kind), i);
-            assert_eq!(KIND_NAMES[i], kind.name());
         }
     }
 }

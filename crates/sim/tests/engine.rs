@@ -5,6 +5,7 @@
 
 use std::sync::{Arc, Barrier};
 
+use tdo_metrics::Registry;
 use tdo_sim::{
     cell_key, Cell, ExperimentSpec, PrefetchSetup, Runner, SimConfig, SimResult, TableMetrics,
 };
@@ -79,7 +80,13 @@ fn racing_specs_fold_one_cell_into_the_counters_once() {
     let c = cell("mcf", PrefetchSetup::SwSelfRepair);
     let single = Runner::new(1);
     let _ = single.run_cell(&c);
-    let counts = |r: &Runner| (r.events_queued(), r.events_dropped(), r.arm_switches());
+    // Every registry family the runner exposes but the wall-time histogram.
+    let counts = |r: &Runner| {
+        let reg = Registry::new();
+        r.register_metrics(&reg);
+        let prom = reg.render_prom();
+        prom.lines().filter(|l| !l.contains("cell_wall_us")).map(str::to_owned).collect::<Vec<_>>()
+    };
     assert!(single.events_queued() > 0, "the cell must queue events to count");
 
     let runner = Runner::new(1);
