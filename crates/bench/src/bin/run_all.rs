@@ -19,7 +19,6 @@ fn main() {
         }
     }
     let _ = h.run(&spec);
-    h.dump_trace(&spec);
 
     let mut rep = Report::new("run_all");
     for (header, width) in [

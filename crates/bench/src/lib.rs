@@ -1,15 +1,18 @@
 //! # tdo-bench — the paper-reproduction harness
 //!
-//! One binary per table and figure of the CGO 2006 evaluation (see
-//! DESIGN.md §3 for the experiment index). Each binary prints the same rows
-//! or series the paper reports, so `cargo run -p tdo-bench --bin fig5_speedup`
-//! regenerates the paper's Figure 5 on the simulated system.
+//! The `paper` binary renders every table, figure and ablation of the CGO
+//! 2006 evaluation from one ordered table of renderers ([`paper::PAPER`];
+//! see DESIGN.md §3 for the experiment index), so
+//! `cargo run --release -p tdo-bench --bin paper -- fig5_speedup` regenerates
+//! the paper's Figure 5 on the simulated system, and `paper` alone prints
+//! every fenced block of EXPERIMENTS.md. `run_all` prints the full
+//! workload × arm matrix.
 //!
-//! All binaries run on the shared experiment engine ([`tdo_sim::Runner`]):
-//! they declare their cells as an [`ExperimentSpec`], the engine simulates
-//! the unique cells across worker threads (memoizing results, so arms shared
-//! between sections are computed once), and the rows render through the
-//! common [`Report`] layer.
+//! Both binaries run on the shared experiment engine ([`tdo_sim::Runner`]):
+//! each renderer declares its cells as an [`ExperimentSpec`], the engine
+//! simulates the unique cells across worker threads (memoizing results, so
+//! a cell that several figures read is simulated once per process), and
+//! the rows render through the common [`Report`] layer.
 //!
 //! Common flags, parsed strictly (unknown flags are an error):
 //!
@@ -25,13 +28,12 @@
 
 pub mod chaos;
 pub mod loadgen;
+pub mod paper;
 
 use std::sync::Arc;
 
-use tdo_sim::{
-    run_traced, Cell, ExperimentSpec, Format, PrefetchSetup, Report, Runner, SimConfig, SimResult,
-};
-use tdo_workloads::{build, names, Scale};
+use tdo_sim::{Cell, ExperimentSpec, Format, PrefetchSetup, Report, Runner, SimConfig, SimResult};
+use tdo_workloads::{names, Scale};
 
 /// Harness options parsed from the command line.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -42,9 +44,6 @@ pub struct HarnessOpts {
     pub jobs: usize,
     /// Requested output format, if any (`None` = the binary's default).
     pub format: Option<Format>,
-    /// Re-run the spec's first cell with recording on and write the event
-    /// trace here (`.json` = Chrome trace_event, anything else = JSONL).
-    pub trace_out: Option<String>,
     /// Explicit persistent-store directory (default: `TDO_STORE` env or
     /// `.tdo-store/`).
     pub store_dir: Option<String>,
@@ -57,8 +56,6 @@ pub const USAGE: &str = "options:
   --quick            run at test scale (fast sanity pass)
   --jobs N           simulate up to N cells in parallel (0 = all cores)
   --format FORMAT    output format: table, csv or json
-  --trace-out PATH   record the first cell's event trace to PATH
-                     (.json = Chrome trace_event, otherwise JSONL)
   --store-dir DIR    persistent result store directory
                      (default: $TDO_STORE or .tdo-store/)
   --no-store         skip the persistent result store entirely
@@ -102,9 +99,6 @@ impl HarnessOpts {
                 "--format" => {
                     opts.format = Some(value(&mut it)?.parse()?);
                 }
-                "--trace-out" => {
-                    opts.trace_out = Some(value(&mut it)?);
-                }
                 "--store-dir" => {
                     opts.store_dir = Some(value(&mut it)?);
                 }
@@ -115,19 +109,18 @@ impl HarnessOpts {
         Ok(opts)
     }
 
-    /// Parses `std::env::args`, printing usage and exiting on bad flags or
+    /// Parses `args`, printing `usage` and exiting on bad flags or
     /// `--help`.
     #[must_use]
-    pub fn from_args() -> HarnessOpts {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+    pub fn parse_or_exit(args: &[String], usage: &str) -> HarnessOpts {
         if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{USAGE}");
+            println!("{usage}");
             std::process::exit(0);
         }
-        match HarnessOpts::parse(&args) {
+        match HarnessOpts::parse(args) {
             Ok(opts) => opts,
             Err(e) => {
-                eprintln!("error: {e}\n{USAGE}");
+                eprintln!("error: {e}\n{usage}");
                 std::process::exit(2);
             }
         }
@@ -167,14 +160,6 @@ pub struct Harness {
     runner: Runner,
 }
 
-impl Default for Harness {
-    fn default() -> Harness {
-        // The programmatic default is storeless: only explicit flags (or
-        // `from_args`'s defaults) touch the filesystem.
-        Harness::new(HarnessOpts { no_store: true, ..HarnessOpts::default() })
-    }
-}
-
 impl Harness {
     /// Creates a harness over explicit options. Unless `--no-store` was
     /// given, the engine reads through to (and writes through to) the
@@ -193,7 +178,8 @@ impl Harness {
     /// Creates a harness from `std::env::args` (exits on bad flags).
     #[must_use]
     pub fn from_args() -> Harness {
-        Harness::new(HarnessOpts::from_args())
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Harness::new(HarnessOpts::parse_or_exit(&args, USAGE))
     }
 
     /// A cell for one workload under one standard arm, at the harness scale.
@@ -230,44 +216,6 @@ impl Harness {
     /// Prints a report in the harness format (default: aligned table).
     pub fn emit(&self, report: &Report) {
         print!("{}", report.render(self.opts.format_or(Format::Table)));
-    }
-
-    /// The underlying engine.
-    #[must_use]
-    pub fn runner(&self) -> &Runner {
-        &self.runner
-    }
-
-    /// The store accounting footer, if a store is attached.
-    #[must_use]
-    pub fn store_summary(&self) -> Option<String> {
-        self.runner.store_summary()
-    }
-
-    /// Honours `--trace-out`: re-simulates the spec's first cell with event
-    /// recording on and writes the trace to the requested path (`.json` =
-    /// Chrome trace_event format, anything else = JSONL). A no-op without the
-    /// flag; recording runs a fresh single machine, so the memoized results
-    /// and the report bytes are untouched.
-    pub fn dump_trace(&self, spec: &ExperimentSpec) {
-        let Some(path) = self.opts.trace_out.as_deref() else { return };
-        let Some(cell) = spec.cells.first() else {
-            eprintln!("--trace-out: spec has no cells, nothing to trace");
-            return;
-        };
-        let w = build(&cell.workload, cell.scale)
-            .unwrap_or_else(|| panic!("unknown workload `{}`", cell.workload));
-        let (_, recorder) = run_traced(&w, &cell.cfg);
-        let text =
-            if path.ends_with(".json") { recorder.to_chrome_trace() } else { recorder.to_jsonl() };
-        match std::fs::write(path, text) {
-            Ok(()) => eprintln!(
-                "wrote {} events for cell `{}` to {path}",
-                recorder.events().len(),
-                cell.workload
-            ),
-            Err(e) => eprintln!("--trace-out: cannot write `{path}`: {e}"),
-        }
     }
 }
 
@@ -353,10 +301,6 @@ mod tests {
             o,
             HarnessOpts { jobs: 2, format: Some(Format::Json), ..HarnessOpts::default() }
         );
-        let o = HarnessOpts::parse(["--trace-out", "t.json"]).unwrap();
-        assert_eq!(o.trace_out.as_deref(), Some("t.json"));
-        let o = HarnessOpts::parse(["--trace-out=t.jsonl"]).unwrap();
-        assert_eq!(o.trace_out.as_deref(), Some("t.jsonl"));
         let o = HarnessOpts::parse(["--store-dir", "/tmp/s", "--no-store"]).unwrap();
         assert_eq!(o.store_dir.as_deref(), Some("/tmp/s"));
         assert!(o.no_store);
@@ -371,7 +315,6 @@ mod tests {
         assert!(HarnessOpts::parse(["--jobs"]).is_err());
         assert!(HarnessOpts::parse(["--jobs", "many"]).is_err());
         assert!(HarnessOpts::parse(["--format", "yaml"]).is_err());
-        assert!(HarnessOpts::parse(["--trace-out"]).is_err());
         assert!(HarnessOpts::parse(["--store-dir"]).is_err());
         assert!(HarnessOpts::parse(["--no-store=1"]).is_err());
         assert!(HarnessOpts::parse(["--quick=1"]).is_err());
@@ -381,7 +324,7 @@ mod tests {
 
     #[test]
     fn usage_documents_every_flag() {
-        for flag in ["--quick", "--jobs", "--format", "--trace-out", "--store-dir", "--no-store"] {
+        for flag in ["--quick", "--jobs", "--format", "--store-dir", "--no-store"] {
             assert!(USAGE.contains(flag), "USAGE is missing `{flag}`");
         }
     }

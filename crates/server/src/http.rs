@@ -31,10 +31,6 @@ pub struct Request {
 /// Returns `InvalidData` on malformed requests and over-limit heads or
 /// bodies, and propagates transport errors (including read timeouts).
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    if tdo_fault::fire(Site::ServerReadFail).is_some() {
-        // Injected transport failure while reading the request.
-        return Err(io::Error::new(io::ErrorKind::ConnectionReset, "injected read failure"));
-    }
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     let head_end = loop {
@@ -77,6 +73,13 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     }
     body.truncate(content_length);
     let body = String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?;
+    // Injected transport failure, fired only once the whole request is in:
+    // closing with request bytes unread lets the kernel reset the
+    // connection before the client reads the 400, which would make the
+    // client's view of one fault depend on timing.
+    if tdo_fault::fire(Site::ServerReadFail).is_some() {
+        return Err(io::Error::new(io::ErrorKind::ConnectionReset, "injected read failure"));
+    }
     Ok(Request { method, path, body })
 }
 

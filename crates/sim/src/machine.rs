@@ -267,9 +267,6 @@ pub struct Machine {
     dlt: Dlt,
     optimizer: PrefetchOptimizer,
     pc_map: PcMap,
-    trace_pcs: HashMap<TraceId, Vec<u64>>,
-    trace_len: HashMap<TraceId, usize>,
-    trace_head: HashMap<TraceId, u64>,
     cur_trace: Option<(TraceId, usize)>,
     pending_job: Option<(u64, PendingJob)>,
     next_job_id: u64,
@@ -348,9 +345,6 @@ impl Machine {
                 workload.program.code.len(),
                 cfg.trident.code_cache_base,
             ),
-            trace_pcs: HashMap::new(),
-            trace_len: HashMap::new(),
-            trace_head: HashMap::new(),
             cur_trace: None,
             pending_job: None,
             next_job_id: 0,
@@ -458,7 +452,7 @@ impl Machine {
     /// Identifiers of all currently installed traces.
     #[must_use]
     pub fn installed_traces(&self) -> Vec<TraceId> {
-        let mut ids: Vec<TraceId> = self.trace_len.keys().copied().collect();
+        let mut ids: Vec<TraceId> = self.trident.trace_ids().collect();
         ids.sort_unstable();
         ids
     }
@@ -737,11 +731,9 @@ impl Machine {
                 if let Some(i) = in_trace {
                     if result.l1_miss {
                         self.counters.load_misses_in_traces += 1;
-                        if let (Some(head), Some(t)) =
-                            (self.trace_head.get(&i.trace), self.trident.trace(i.trace))
-                        {
+                        if let Some(t) = self.trident.trace(i.trace) {
                             let orig = t.insts[i.index].orig_pc;
-                            if self.optimizer.is_covered(*head, orig) {
+                            if self.optimizer.is_covered(t.head, orig) {
                                 self.counters.load_misses_covered += 1;
                             }
                         }
@@ -776,7 +768,11 @@ impl Machine {
     }
 
     fn exit_trace(&mut self, trace: TraceId, last_idx: usize, now: u64) {
-        let len = self.trace_len.get(&trace).copied().unwrap_or(0);
+        // Trident drops a trace and its watch entry together, so an exit
+        // from a replaced or backed-out body has nothing to account.
+        let Some((len, head)) = self.trident.trace(trace).map(|t| (t.insts.len(), t.head)) else {
+            return;
+        };
         let early = last_idx + 1 != len;
         let backout = self.trident.watch.on_exit(trace, now, early);
         if backout && !self.job_references(trace) {
@@ -784,7 +780,16 @@ impl Machine {
                 for p in patches {
                     let _ = self.code.write_word(p.addr, p.word);
                 }
-                self.retire_trace_map(trace, true);
+                // The original instruction (weight 1) lives at the head
+                // again. The dead body's pc-map entries stay, as they do for
+                // a replaced trace: a thread may still be draining out of it
+                // (the loop-back forwards it at the next iteration
+                // boundary), and those instructions must keep their
+                // original-equivalent weights. Code-cache addresses are
+                // never reallocated, so stale entries are harmless.
+                if self.pc_map.get(head).is_some_and(|i| i.trace == trace) {
+                    self.pc_map.remove(head);
+                }
                 self.counters.trace_backouts += 1;
             }
         }
@@ -849,7 +854,7 @@ impl Machine {
                     return;
                 }
                 entry.being_optimized = true;
-                let len = self.trace_len.get(&trace).copied().unwrap_or(16) as u64;
+                let len = self.trident.trace(trace).map_or(16, |t| t.insts.len()) as u64;
                 let code = &self.code;
                 let fetch = |pc: u64| code.fetch(pc).expect("optimizer read a corrupt word");
                 let action =
@@ -919,7 +924,6 @@ impl Machine {
                         }
                         if let Some((old, new_id)) = replaces {
                             if let Some(old_id) = old {
-                                self.retire_trace_map(old_id, false);
                                 if self.cur_trace.is_some_and(|(t, _)| t == old_id) {
                                     self.cur_trace = None;
                                 }
@@ -943,38 +947,12 @@ impl Machine {
         let Some(trace) = self.trident.trace(id) else {
             return;
         };
-        let mut pcs = Vec::with_capacity(trace.insts.len() + 1);
         for (i, ti) in trace.insts.iter().enumerate() {
             let pc = trace.cc_pc(i);
             self.pc_map.insert(pc, PcInfo { trace: id, index: i, weight: ti.weight });
-            pcs.push(pc);
         }
         // The patched head is glue: zero weight.
         self.pc_map.insert(trace.head, PcInfo { trace: id, index: usize::MAX, weight: 0 });
-        pcs.push(trace.head);
-        self.trace_len.insert(id, trace.insts.len());
-        self.trace_head.insert(id, trace.head);
-        self.trace_pcs.insert(id, pcs);
-    }
-
-    /// Retires a replaced or backed-out trace. The dead body's pc-map
-    /// entries are *kept*: a thread may still be draining out of it (the
-    /// loop-back forwards it at the next iteration boundary), and those
-    /// instructions must keep their original-equivalent weights. Code-cache
-    /// addresses are never reallocated, so stale entries are harmless.
-    /// Only on a back-out is the head entry removed — the original
-    /// instruction (weight 1) lives there again.
-    fn retire_trace_map(&mut self, id: TraceId, remove_head: bool) {
-        if remove_head {
-            if let Some(&head) = self.trace_head.get(&id) {
-                if self.pc_map.get(head).is_some_and(|i| i.trace == id) {
-                    self.pc_map.remove(head);
-                }
-            }
-        }
-        self.trace_pcs.remove(&id);
-        self.trace_len.remove(&id);
-        self.trace_head.remove(&id);
     }
 }
 

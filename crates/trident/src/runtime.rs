@@ -263,6 +263,11 @@ impl Trident {
         self.traces.get(&id)
     }
 
+    /// Identifiers of every registered trace, in no particular order.
+    pub fn trace_ids(&self) -> impl Iterator<Item = TraceId> + '_ {
+        self.traces.keys().copied()
+    }
+
     /// The trace currently linked at original-code `head`.
     #[must_use]
     pub fn linked_at(&self, head: u64) -> Option<TraceId> {
