@@ -241,6 +241,38 @@ mod tests {
     }
 
     #[test]
+    fn full_degree_buffer_is_consumed_through_its_last_slot() {
+        // A 16-deep stream fills every inline slot of its buffer; a hit on
+        // the last line consumes all sixteen and asks for sixteen refills.
+        let cfg = AdaptiveNextLineConfig {
+            min_degree: MAX_STREAM_ENTRIES,
+            max_degree: MAX_STREAM_ENTRIES,
+            ..AdaptiveNextLineConfig::default()
+        };
+        let mut p = AdaptiveNextLinePrefetcher::new(cfg, 64);
+        assert_eq!(p.degree(), 16);
+        let (slot, addrs) = p.consider_allocation(0x400, 0x10_0000).expect("allocates");
+        assert_eq!(addrs.len(), 16);
+        for (i, &a) in addrs.iter().enumerate() {
+            p.push_fill(slot, a, 100 + i as u64);
+        }
+        let last = addrs[15];
+        assert_eq!(last, 0x10_0000 + 16 * 64);
+        assert!(p.contains(addrs[0]) && p.contains(last));
+        assert!(p.refill_addresses(slot).is_empty(), "a full buffer needs no refill");
+        let hit = p.probe_and_consume(last + 8).expect("last slot hits");
+        assert_eq!((hit.slot, hit.ready_at), (slot, 115));
+        assert!(addrs.iter().all(|&a| !p.contains(a)), "every entry consumed");
+        let refill = p.refill_addresses(slot);
+        assert_eq!(refill.len(), 16);
+        assert_eq!(refill[0], last + 64, "the stream continues past the hit");
+        for &a in refill.iter() {
+            p.push_fill(slot, a, 200);
+        }
+        assert!(p.contains(refill[15]));
+    }
+
+    #[test]
     fn reference_constants_are_the_default() {
         let c = AdaptiveNextLineConfig::default();
         assert_eq!((c.stats_window, c.best_window), (5000, 25000));

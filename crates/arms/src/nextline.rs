@@ -64,7 +64,7 @@ impl LinePool {
 
     pub(crate) fn contains(&self, addr: u64) -> bool {
         let line = self.line_of(addr);
-        self.buffers.iter().any(|b| b.valid && b.entries.iter().any(|e| e.line_addr == line))
+        self.buffers.iter().any(|b| b.valid && b.holds(line))
     }
 
     pub(crate) fn probe_and_consume(&mut self, addr: u64) -> Option<ArmHit> {
@@ -74,12 +74,11 @@ impl LinePool {
             if !b.valid {
                 continue;
             }
-            if let Some(pos) = b.entries.iter().position(|e| e.line_addr == line) {
-                let hit = b.entries[pos];
-                b.entries.drain(..=pos);
+            if let Some(pos) = b.position(line) {
+                let ready_at = b.consume_through(pos);
                 b.last_use = self.clock;
                 self.useful += 1;
-                return Some(ArmHit { ready_at: hit.ready_at, slot: bi });
+                return Some(ArmHit { ready_at, slot: bi });
             }
         }
         None
@@ -93,7 +92,7 @@ impl LinePool {
         }
         // A shrunk degree (the adaptive arm climbing down) simply stops
         // refilling; existing entries drain through demand hits.
-        let need = self.degree.saturating_sub(b.entries.len());
+        let need = self.degree.saturating_sub(b.len());
         for _ in 0..need {
             out.push(b.next_addr);
             b.next_addr = b.next_addr.wrapping_add(self.line_bytes);
@@ -104,9 +103,7 @@ impl LinePool {
     pub(crate) fn push_fill(&mut self, slot: usize, line_addr: u64, ready_at: u64) {
         let line = self.line_of(line_addr);
         self.issued += 1;
-        self.buffers[slot]
-            .entries
-            .push_back(crate::stream::StreamEntry { line_addr: line, ready_at });
+        self.buffers[slot].push(line, ready_at);
     }
 
     pub(crate) fn consider_allocation(&mut self, addr: u64) -> Option<(usize, RefillList)> {
@@ -118,11 +115,11 @@ impl LinePool {
         // allocation when an existing stream already covers (or is about to
         // fetch) it — the miss is part of a walk that is already streaming.
         let first = self.line_of(addr).wrapping_add(self.line_bytes);
-        if self.buffers.iter().any(|b| {
-            b.valid
-                && (self.line_of(b.next_addr) == first
-                    || b.entries.iter().any(|e| e.line_addr == first))
-        }) {
+        if self
+            .buffers
+            .iter()
+            .any(|b| b.valid && (self.line_of(b.next_addr) == first || b.holds(first)))
+        {
             return None;
         }
         let victim = self.buffers.iter().position(|b| !b.valid).unwrap_or_else(|| {
@@ -135,7 +132,7 @@ impl LinePool {
         });
         let b = &mut self.buffers[victim];
         b.valid = true;
-        b.entries.clear();
+        b.clear();
         b.stride = self.line_bytes as i64;
         b.next_addr = first;
         b.last_use = self.clock;

@@ -14,8 +14,6 @@
 //! call sequence and every decision are bit-identical to the pre-arsenal
 //! implementation.
 
-use std::collections::VecDeque;
-
 use crate::stride::StridePredictor;
 use crate::{ArmHit, ArmKind, ArmStats, Prefetcher, RefillList, MAX_STREAM_ENTRIES};
 
@@ -57,7 +55,7 @@ impl StreamBufferConfig {
     }
 }
 
-/// One prefetched line sitting in a buffer.
+/// One prefetched line sitting in a queue (the delta arm's burst FIFO).
 #[derive(Clone, Copy, Debug)]
 pub struct StreamEntry {
     /// Line-aligned address.
@@ -66,9 +64,16 @@ pub struct StreamEntry {
     pub ready_at: u64,
 }
 
+/// One stream buffer: up to [`MAX_STREAM_ENTRIES`] prefetched lines, oldest
+/// first, stored inline as parallel arrays of line addresses and fill
+/// times. Every demand miss scans the line addresses of every buffer, so
+/// they sit contiguously with no ring-buffer wrap; consuming through a hit
+/// shifts the survivors down with one `copy_within`.
 pub(crate) struct Buffer {
     pub(crate) valid: bool,
-    pub(crate) entries: VecDeque<StreamEntry>,
+    lines: [u64; MAX_STREAM_ENTRIES],
+    ready_at: [u64; MAX_STREAM_ENTRIES],
+    len: usize,
     pub(crate) stride: i64,
     pub(crate) next_addr: u64,
     pub(crate) last_use: u64,
@@ -76,7 +81,56 @@ pub(crate) struct Buffer {
 
 impl Buffer {
     pub(crate) fn empty() -> Buffer {
-        Buffer { valid: false, entries: VecDeque::new(), stride: 0, next_addr: 0, last_use: 0 }
+        Buffer {
+            valid: false,
+            lines: [0; MAX_STREAM_ENTRIES],
+            ready_at: [0; MAX_STREAM_ENTRIES],
+            len: 0,
+            stride: 0,
+            next_addr: 0,
+            last_use: 0,
+        }
+    }
+
+    /// Buffered entries.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Position of `line` among the buffered entries (oldest is 0).
+    #[inline]
+    pub(crate) fn position(&self, line: u64) -> Option<usize> {
+        self.lines[..self.len].iter().position(|&l| l == line)
+    }
+
+    /// Whether `line` is buffered.
+    #[inline]
+    pub(crate) fn holds(&self, line: u64) -> bool {
+        self.position(line).is_some()
+    }
+
+    /// Consumes the entries up to and including `pos`; returns the fill
+    /// time of the entry at `pos`.
+    #[inline]
+    pub(crate) fn consume_through(&mut self, pos: usize) -> u64 {
+        let ready_at = self.ready_at[pos];
+        self.lines.copy_within(pos + 1..self.len, 0);
+        self.ready_at.copy_within(pos + 1..self.len, 0);
+        self.len -= pos + 1;
+        ready_at
+    }
+
+    /// Appends one filled line. Refill lists never ask for more than the
+    /// buffer's depth, so a full buffer here is a caller bug.
+    pub(crate) fn push(&mut self, line: u64, ready_at: u64) {
+        self.lines[self.len] = line;
+        self.ready_at[self.len] = ready_at;
+        self.len += 1;
+    }
+
+    /// Drops every entry (reallocation to a new stream).
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
     }
 }
 
@@ -145,7 +199,7 @@ impl Prefetcher for StreamBuffers {
 
     fn contains(&self, addr: u64) -> bool {
         let line = self.line_of(addr);
-        self.buffers.iter().any(|b| b.valid && b.entries.iter().any(|e| e.line_addr == line))
+        self.buffers.iter().any(|b| b.valid && b.holds(line))
     }
 
     /// Probes all buffers for the line containing `addr` and, on a hit,
@@ -157,12 +211,11 @@ impl Prefetcher for StreamBuffers {
             if !b.valid {
                 continue;
             }
-            if let Some(pos) = b.entries.iter().position(|e| e.line_addr == line) {
-                let hit = b.entries[pos];
-                b.entries.drain(..=pos);
+            if let Some(pos) = b.position(line) {
+                let ready_at = b.consume_through(pos);
                 b.last_use = self.clock;
                 self.hits += 1;
-                return Some(ArmHit { ready_at: hit.ready_at, slot: bi });
+                return Some(ArmHit { ready_at, slot: bi });
             }
         }
         None
@@ -174,7 +227,7 @@ impl Prefetcher for StreamBuffers {
         if !b.valid {
             return out;
         }
-        let need = self.cfg.entries_per_buffer.saturating_sub(b.entries.len());
+        let need = self.cfg.entries_per_buffer.saturating_sub(b.len());
         for _ in 0..need {
             out.push(b.next_addr);
             b.next_addr = b.next_addr.wrapping_add(b.stride as u64);
@@ -185,7 +238,7 @@ impl Prefetcher for StreamBuffers {
     fn push_fill(&mut self, slot: usize, line_addr: u64, ready_at: u64) {
         let line = self.line_of(line_addr);
         self.issued += 1;
-        self.buffers[slot].entries.push_back(StreamEntry { line_addr: line, ready_at });
+        self.buffers[slot].push(line, ready_at);
     }
 
     /// Considers allocating a buffer for a demand miss at `(pc, addr)`:
@@ -211,8 +264,7 @@ impl Prefetcher for StreamBuffers {
         if self.buffers.iter().any(|b| {
             b.valid
                 && b.stride == line_stride
-                && (self.line_of(b.next_addr) == first
-                    || b.entries.iter().any(|e| e.line_addr == first))
+                && (self.line_of(b.next_addr) == first || b.holds(first))
         }) {
             return None;
         }
@@ -226,7 +278,7 @@ impl Prefetcher for StreamBuffers {
         });
         let b = &mut self.buffers[victim];
         b.valid = true;
-        b.entries.clear();
+        b.clear();
         b.stride = line_stride;
         b.next_addr = addr.wrapping_add(line_stride as u64);
         b.last_use = self.clock;

@@ -5,7 +5,7 @@
 use tdo_core::{Dlt, DltConfig};
 use tdo_cpu::CpuConfig;
 use tdo_mem::{CacheConfig, MemConfig};
-use tdo_sim::{ExperimentSpec, PrefetchSetup, Report, SimConfig};
+use tdo_sim::{ExperimentSpec, Format, PrefetchSetup, Report, SimConfig};
 use tdo_trident::{ProfilerConfig, WatchConfig};
 
 use crate::{frac, geomean, mean, pct, suite, Harness};
@@ -30,87 +30,131 @@ pub const PAPER: [(&str, Render); 13] = [
     ("ablation_hw_prefetchers", ablation_hw_prefetchers),
 ];
 
+/// Prints a static configuration table: one row per hardware component,
+/// each one or more lines of text. Table mode prints the aligned text
+/// EXPERIMENTS.md holds; csv and json emit a [`Report`] with one row per
+/// component (its lines joined by spaces), so those formats stay one
+/// machine-readable stream.
+fn config_table(
+    h: &Harness,
+    slug: &str,
+    title: &str,
+    label_width: usize,
+    rows: &[(&str, Vec<String>)],
+) {
+    if h.opts.format_or(Format::Table) != Format::Table {
+        let mut rep = Report::new(slug).key("component", label_width).col("setting", 0);
+        for (label, lines) in rows {
+            rep.row(*label, [lines.join(" ")]);
+        }
+        h.emit(&rep);
+        return;
+    }
+    println!("{title}");
+    println!("{}", "-".repeat(title.len()));
+    for (label, lines) in rows {
+        for (i, line) in lines.iter().enumerate() {
+            let label = if i == 0 { *label } else { "" };
+            println!("{label:<label_width$}{line}");
+        }
+    }
+}
+
 /// Table 1: the baseline SMT processor configuration.
-pub fn table1_config(_h: &Harness) {
-    // Static configuration dump: the harness options have no effect.
+pub fn table1_config(h: &Harness) {
+    // Static configuration dump: only `--format` has an effect.
     let cpu = CpuConfig::paper_baseline();
     let mem = MemConfig::paper_baseline();
-    println!("Table 1: baseline SMT processor configuration");
-    println!("---------------------------------------------");
-    println!(
-        "Pipeline            20-stage (mispredict refill {} cycles), 2 hardware contexts",
-        cpu.mispredict_penalty
-    );
-    println!(
-        "Issue bandwidth     {} instructions/cycle ({} loads/stores, {} FP)",
-        cpu.issue_width, cpu.mem_ports, cpu.fp_units
-    );
-    println!("Branch predictor    gshare 64K + bimodal 16K + 64K meta chooser");
-    println!(
-        "L1 size & latency   {} KB {}-way, {} cycles",
-        mem.l1.size_bytes >> 10,
-        mem.l1.assoc,
-        mem.l1.latency
-    );
-    println!(
-        "L2 size & latency   {} KB {}-way, {} cycles",
-        mem.l2.size_bytes >> 10,
-        mem.l2.assoc,
-        mem.l2.latency
-    );
-    println!(
-        "L3 size & latency   {} MB {}-way, {} cycles",
-        mem.l3.size_bytes >> 20,
-        mem.l3.assoc,
-        mem.l3.latency
-    );
-    println!(
-        "Memory latency      {} cycles (bus occupancy {}/line, {} MSHRs)",
-        mem.mem_latency, mem.bus_occupancy, mem.mshrs
-    );
+    let level = |c: &CacheConfig, size: String| {
+        vec![format!("{size} {}-way, {} cycles", c.assoc, c.latency)]
+    };
     let sb = mem.arm.stream().expect("baseline has stream buffers");
-    println!(
-        "Stream buffers      {} buffers x {} entries, {}-entry history table",
-        sb.buffers, sb.entries_per_buffer, sb.history_entries
-    );
-    println!("Helper thread       {}-cycle startup latency", cpu.helper_startup_cycles);
+    let rows = [
+        (
+            "Pipeline",
+            vec![format!(
+                "20-stage (mispredict refill {} cycles), 2 hardware contexts",
+                cpu.mispredict_penalty
+            )],
+        ),
+        (
+            "Issue bandwidth",
+            vec![format!(
+                "{} instructions/cycle ({} loads/stores, {} FP)",
+                cpu.issue_width, cpu.mem_ports, cpu.fp_units
+            )],
+        ),
+        ("Branch predictor", vec!["gshare 64K + bimodal 16K + 64K meta chooser".to_string()]),
+        ("L1 size & latency", level(&mem.l1, format!("{} KB", mem.l1.size_bytes >> 10))),
+        ("L2 size & latency", level(&mem.l2, format!("{} KB", mem.l2.size_bytes >> 10))),
+        ("L3 size & latency", level(&mem.l3, format!("{} MB", mem.l3.size_bytes >> 20))),
+        (
+            "Memory latency",
+            vec![format!(
+                "{} cycles (bus occupancy {}/line, {} MSHRs)",
+                mem.mem_latency, mem.bus_occupancy, mem.mshrs
+            )],
+        ),
+        (
+            "Stream buffers",
+            vec![format!(
+                "{} buffers x {} entries, {}-entry history table",
+                sb.buffers, sb.entries_per_buffer, sb.history_entries
+            )],
+        ),
+        ("Helper thread", vec![format!("{}-cycle startup latency", cpu.helper_startup_cycles)]),
+    ];
+    config_table(h, "table1", "Table 1: baseline SMT processor configuration", 20, &rows);
 }
 
 /// Table 2: the Trident hardware monitoring structures.
-pub fn table2_config(_h: &Harness) {
-    // Static configuration dump: the harness options have no effect.
+pub fn table2_config(h: &Harness) {
+    // Static configuration dump: only `--format` has an effect.
     let p = ProfilerConfig::paper_baseline();
     let w = WatchConfig::paper_baseline();
     let d = DltConfig::paper_baseline();
-    println!("Table 2: Trident hardware monitoring structures");
-    println!("-----------------------------------------------");
-    println!(
-        "Branch profiler      {}-entry, {}-way associative, {}-saturating counters,",
-        p.entries, p.assoc, p.hot_threshold
-    );
-    println!(
-        "                     {} standalone {}-bit direction bitmaps",
-        p.capture_units, p.max_bits
-    );
-    println!("Watch table          {}-entry; per-trace minimal execution time,", w.entries);
-    println!("                     optimization flag, early-exit back-out");
-    println!(
-        "Delinquent load tbl  {}-entry, {}-way associative; access counter {},",
-        d.entries, d.assoc, d.window
-    );
-    println!(
-        "                     miss counter threshold {} (~{:.0}% miss rate),",
-        d.miss_threshold,
-        100.0 * f64::from(d.miss_threshold) / f64::from(d.window)
-    );
-    println!(
-        "                     avg-miss-latency threshold {} cycles (half the L2-miss latency),",
-        d.latency_threshold
-    );
-    println!(
-        "                     stride confidence {}-max (+1 match / -{} mismatch), mature flag",
-        d.conf_max, d.conf_dec
-    );
+    let rows = [
+        (
+            "Branch profiler",
+            vec![
+                format!(
+                    "{}-entry, {}-way associative, {}-saturating counters,",
+                    p.entries, p.assoc, p.hot_threshold
+                ),
+                format!("{} standalone {}-bit direction bitmaps", p.capture_units, p.max_bits),
+            ],
+        ),
+        (
+            "Watch table",
+            vec![
+                format!("{}-entry; per-trace minimal execution time,", w.entries),
+                "optimization flag, early-exit back-out".to_string(),
+            ],
+        ),
+        (
+            "Delinquent load tbl",
+            vec![
+                format!(
+                    "{}-entry, {}-way associative; access counter {},",
+                    d.entries, d.assoc, d.window
+                ),
+                format!(
+                    "miss counter threshold {} (~{:.0}% miss rate),",
+                    d.miss_threshold,
+                    100.0 * f64::from(d.miss_threshold) / f64::from(d.window)
+                ),
+                format!(
+                    "avg-miss-latency threshold {} cycles (half the L2-miss latency),",
+                    d.latency_threshold
+                ),
+                format!(
+                    "stride confidence {}-max (+1 match / -{} mismatch), mature flag",
+                    d.conf_max, d.conf_dec
+                ),
+            ],
+        ),
+    ];
+    config_table(h, "table2", "Table 2: Trident hardware monitoring structures", 21, &rows);
 }
 
 /// Figure 2: performance of the hardware stream-buffer prefetcher —

@@ -9,12 +9,11 @@
 //! and backing off when it worsens, within a repair budget of twice the
 //! maximum distance (after which the load is *mature*).
 
-use std::collections::HashMap;
-
 use tdo_isa::{encode, patch_prefetch_distance, Inst, Reg, Word};
 use tdo_obs::{
     Event, LedgerKind, LedgerRecord, LoadClassKind, PrefetchGroupKind, SharedLedger, SharedProbe,
 };
+use tdo_rand::FastMap;
 use tdo_trident::{
     CodeSource, HotEvent, InstallError, Patch, PendingInstall, TraceId, TraceOp, Trident,
 };
@@ -161,10 +160,13 @@ pub struct OptimizerStats {
 pub struct PrefetchOptimizer {
     cfg: OptimizerConfig,
     /// Group state keyed by (trace head, representative load original PC) —
-    /// stable across trace re-installations.
-    states: HashMap<(u64, u64), GroupState>,
-    /// Member original PC → representative PC, per trace head.
-    member_to_rep: HashMap<(u64, u64), u64>,
+    /// stable across trace re-installations. Iterated only by
+    /// order-independent folds and per-entry updates.
+    states: FastMap<(u64, u64), GroupState>,
+    /// Member original PC → representative PC, per trace head. Probed for
+    /// every L1-missing trace load ([`PrefetchOptimizer::is_covered`]);
+    /// never iterated.
+    member_to_rep: FastMap<(u64, u64), u64>,
     /// Counters.
     pub stats: OptimizerStats,
     /// The ring each repair decision lands in (see
@@ -185,8 +187,8 @@ impl PrefetchOptimizer {
     pub fn new(cfg: OptimizerConfig) -> PrefetchOptimizer {
         PrefetchOptimizer {
             cfg,
-            states: HashMap::new(),
-            member_to_rep: HashMap::new(),
+            states: FastMap::default(),
+            member_to_rep: FastMap::default(),
             stats: OptimizerStats::default(),
             ledger: SharedLedger::default(),
             probe: tdo_obs::null_probe(),
@@ -241,6 +243,7 @@ impl PrefetchOptimizer {
     /// covered by an inserted prefetch group — the Figure 4 "potentially
     /// software prefetched" criterion.
     #[must_use]
+    #[inline]
     pub fn is_covered(&self, head: u64, orig_pc: u64) -> bool {
         self.member_to_rep.contains_key(&(head, orig_pc))
     }

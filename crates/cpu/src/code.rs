@@ -18,11 +18,17 @@
 //!
 //! Two dense regions are maintained: the original program (`ops`, mirroring
 //! `words`) and the code cache (`cc_ops`, indexed from `code_cache_base`,
-//! grown on demand as Trident installs traces). Every [`CodeImage::write_word`]
+//! grown on demand as Trident installs traces). Addresses outside both
+//! regions (never produced by the optimizer) are predecoded into a sparse
+//! op map beside the sparse word overlay. Every [`CodeImage::write_word`]
 //! re-predecodes the single affected entry — the patch→invalidate protocol
 //! that keeps in-place prefetch-distance repair coherent with predecoded
-//! execution. Addresses outside both regions (never produced by the
-//! optimizer) fall back to the sparse overlay and decode on the fly.
+//! execution — so every fetch is a borrow of an op decoded at write time:
+//! [`CodeImage::fetch_op`] returns `&PredecodedOp`, and the core reads its
+//! fields in place instead of copying the op out.
+//! [`CodeImage::check_predecode`] re-derives every slot from its stored
+//! word; the tests run it after whole simulations, and debug builds check
+//! each written slot inside `write_word`.
 //!
 //! A word that fails to decode predecodes into an op carrying
 //! [`PredecodedOp::F_INVALID`]; executing it is a loud, distinct fault
@@ -86,7 +92,7 @@ pub const NO_USE: u8 = 64;
 
 /// One instruction, decoded once, with the issue loop's derived facts
 /// precomputed so the per-cycle path is flat loads and compares.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PredecodedOp {
     /// The decoded instruction.
     pub inst: Inst,
@@ -181,12 +187,11 @@ pub struct CodeImage {
     /// `code_cache_base` and grown on demand. Entries without
     /// [`PredecodedOp::F_PRESENT`] are holes.
     cc_ops: Vec<PredecodedOp>,
+    /// Predecoded mirror of the overlay words outside both dense regions.
+    far_ops: HashMap<u64, PredecodedOp>,
     /// First address of the code-cache region (everything at or above is
     /// "inside a hot trace" for the monitoring hardware).
     code_cache_base: u64,
-    /// Parity-test aid: when set, [`CodeImage::fetch_op`] ignores the
-    /// predecoded arrays and decodes the stored word on every fetch.
-    per_fetch_decode: bool,
 }
 
 impl CodeImage {
@@ -212,16 +217,9 @@ impl CodeImage {
             ops,
             overlay: HashMap::new(),
             cc_ops: Vec::new(),
+            far_ops: HashMap::new(),
             code_cache_base,
-            per_fetch_decode: false,
         }
-    }
-
-    /// Switches between predecoded execution (the default) and per-fetch
-    /// word decoding. The two modes are architecturally identical; the
-    /// differential parity suite runs both and byte-compares the results.
-    pub fn set_per_fetch_decode(&mut self, on: bool) {
-        self.per_fetch_decode = on;
     }
 
     /// Base address of the code-cache region.
@@ -274,33 +272,76 @@ impl CodeImage {
 
     /// The predecoded op at `pc` — the interpreter's hot fetch path. One
     /// alignment test plus one or two range compares reach a dense array
-    /// slot; no per-fetch decoding (unless the parity mode is on).
+    /// slot, which is borrowed, not copied: the caller reads the fields it
+    /// needs in place.
     #[must_use]
-    pub fn fetch_op(&self, pc: u64) -> Option<PredecodedOp> {
-        if self.per_fetch_decode {
-            return self.word_at(pc).map(|w| PredecodedOp::from_word(w, pc));
-        }
+    #[inline]
+    pub fn fetch_op(&self, pc: u64) -> Option<&PredecodedOp> {
         if pc & (INST_BYTES - 1) != 0 {
             return None;
         }
         if pc >= self.base {
             let idx = ((pc - self.base) / INST_BYTES) as usize;
             if idx < self.ops.len() {
-                return Some(self.ops[idx]);
+                return Some(&self.ops[idx]);
             }
         }
         if pc >= self.code_cache_base {
             let idx = ((pc - self.code_cache_base) / INST_BYTES) as usize;
             if idx < self.cc_ops.len() {
-                let op = self.cc_ops[idx];
-                if op.flags & PredecodedOp::F_PRESENT != 0 {
-                    return Some(op);
-                }
-                return None;
+                let op = &self.cc_ops[idx];
+                return (op.flags & PredecodedOp::F_PRESENT != 0).then_some(op);
             }
         }
-        // Cold fallback: overlay addresses outside both dense regions.
-        self.overlay.get(&pc).map(|&w| PredecodedOp::from_word(w, pc))
+        // Cold: addresses outside both dense regions.
+        self.far_ops.get(&pc)
+    }
+
+    /// Whether the op served at `pc` is exactly what predecoding `word`
+    /// afresh gives.
+    fn slot_is_coherent(&self, pc: u64, word: Word) -> bool {
+        self.fetch_op(pc) == Some(&PredecodedOp::from_word(word, pc))
+    }
+
+    /// Checks the predecoded mirror against the stored words: every mapped
+    /// word's op must equal [`PredecodedOp::from_word`] of that word at its
+    /// pc, and no op may be served where no word is mapped. Returns the
+    /// number of slots checked.
+    ///
+    /// # Errors
+    ///
+    /// Names the first incoherent pc (original code first, then overlay
+    /// words in address order), or reports a count mismatch when an op
+    /// outlives its word.
+    pub fn check_predecode(&self) -> Result<usize, String> {
+        let original =
+            self.words.iter().enumerate().map(|(i, &w)| (self.base + i as u64 * INST_BYTES, w));
+        let mut overlay: Vec<(u64, Word)> = self.overlay.iter().map(|(&pc, &w)| (pc, w)).collect();
+        overlay.sort_unstable();
+        let mut checked = 0;
+        for (pc, w) in original.chain(overlay) {
+            if !self.slot_is_coherent(pc, w) {
+                return Err(format!(
+                    "stale predecode at pc {pc:#x}: word {w:#018x} decodes to {:?}, slot serves {:?}",
+                    PredecodedOp::from_word(w, pc),
+                    self.fetch_op(pc)
+                ));
+            }
+            checked += 1;
+        }
+        // Overlay words never lie inside the original program, so each one
+        // owns exactly one code-cache slot or far op; anything beyond that
+        // is an op with no word behind it.
+        let served =
+            self.cc_ops.iter().filter(|op| op.flags & PredecodedOp::F_PRESENT != 0).count()
+                + self.far_ops.len();
+        if served != self.overlay.len() {
+            return Err(format!(
+                "{served} overlay ops served for {} overlay words",
+                self.overlay.len()
+            ));
+        }
+        Ok(checked)
     }
 
     /// Re-predecodes the single entry covering `pc` after a word write —
@@ -320,10 +361,10 @@ impl CodeImage {
                     self.cc_ops.resize(idx + 1, PredecodedOp::default());
                 }
                 self.cc_ops[idx] = PredecodedOp::from_word(word, pc);
+                return;
             }
         }
-        // Outside both dense regions: the overlay fallback in `fetch_op`
-        // decodes on the fly, so there is nothing to refresh.
+        self.far_ops.insert(pc, PredecodedOp::from_word(word, pc));
     }
 
     /// Writes an encoded word at `pc` — patching original code or installing
@@ -338,16 +379,14 @@ impl CodeImage {
         if !pc.is_multiple_of(INST_BYTES) {
             return Err(PatchError::Unaligned { addr: pc });
         }
-        if pc >= self.base {
-            let idx = ((pc - self.base) / INST_BYTES) as usize;
-            if idx < self.words.len() {
-                self.words[idx] = word;
-                self.repredecode(pc, word);
-                return Ok(());
-            }
+        let idx = (pc.wrapping_sub(self.base) / INST_BYTES) as usize;
+        if pc >= self.base && idx < self.words.len() {
+            self.words[idx] = word;
+        } else {
+            self.overlay.insert(pc, word);
         }
-        self.overlay.insert(pc, word);
         self.repredecode(pc, word);
+        debug_assert!(self.slot_is_coherent(pc, word), "write at {pc:#x} left a stale predecode");
         Ok(())
     }
 
@@ -502,26 +541,18 @@ mod tests {
     }
 
     #[test]
-    fn per_fetch_mode_matches_predecoded_mode() {
+    fn every_region_serves_the_op_its_word_decodes_to() {
+        // Original code, the dense code cache, and an address outside both
+        // dense regions (below the program) are each served by reference
+        // from an op predecoded at write time.
         let mut c = img();
         let w = encode(&Inst::Bcond { cond: tdo_isa::Cond::Eq, ra: Reg::int(1), disp: 3 }).unwrap();
         c.write_word(0x10_0000, w).unwrap();
-        for pc in [0x1000u64, 0x1008, 0x1010, 0x10_0000, 0x10_0008] {
-            let pre = c.fetch_op(pc);
-            c.set_per_fetch_decode(true);
-            let raw = c.fetch_op(pc);
-            c.set_per_fetch_decode(false);
-            match (pre, raw) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.inst, b.inst);
-                    assert_eq!(
-                        (a.use0, a.use1, a.flags, a.target),
-                        (b.use0, b.use1, b.flags, b.target)
-                    );
-                }
-                (a, b) => panic!("mode mismatch at {pc:#x}: {a:?} vs {b:?}"),
-            }
-        }
+        c.write_word(0x800, w).unwrap();
+        let far = c.fetch_op(0x800).expect("far word is predecoded");
+        assert_eq!(*far, PredecodedOp::from_word(w, 0x800));
+        assert_eq!(far.target, 0x800 + 8 + 3 * 8, "target relative to the far pc");
+        assert_eq!(c.check_predecode(), Ok(4), "two original words, two overlay words");
+        assert!(c.fetch_op(0x10_0008).is_none(), "a hole past the written slot serves nothing");
     }
 }

@@ -45,15 +45,12 @@ pub enum CommitKind {
     Halt,
 }
 
-/// One committed instruction.
+/// One committed main-thread instruction (the helper context's synthetic
+/// optimizer instructions are not reported).
 #[derive(Clone, Copy, Debug)]
 pub struct Commit {
-    /// Hardware context (0 = main thread, 1 = helper).
-    pub ctx: usize,
     /// Address of the instruction.
     pub pc: u64,
-    /// Address of the next instruction to execute.
-    pub next_pc: u64,
     /// Cycle of issue.
     pub cycle: u64,
     /// Payload.

@@ -22,15 +22,6 @@ use crate::commit::{Commit, CommitKind};
 use crate::config::CpuConfig;
 use crate::stats::CpuStats;
 
-/// Number of hardware contexts.
-pub const NUM_CONTEXTS: usize = 2;
-
-/// Index of the main (program) context.
-pub const MAIN_CTX: usize = 0;
-
-/// Index of the helper (optimizer) context.
-pub const HELPER_CTX: usize = 1;
-
 /// Synthetic PC base used for helper-thread memory accesses so they are
 /// distinguishable in the hierarchy's PC-indexed structures.
 const HELPER_PC_BASE: u64 = 0x7f00_0000;
@@ -192,13 +183,16 @@ impl Core {
         self.cycle = target;
     }
 
-    /// Runs one cycle; returns the instructions committed this cycle.
-    pub fn cycle(
-        &mut self,
-        code: &CodeImage,
-        data: &mut Memory,
-        hier: &mut Hierarchy,
-    ) -> &[Commit] {
+    /// Hands the commits of the last [`Core::cycle`] to the caller by
+    /// swapping buffers: `buf` receives them, and its previous contents
+    /// become the core's buffer, which the next cycle clears. No commit is
+    /// copied, and once both buffers have grown nothing allocates.
+    pub fn swap_commits(&mut self, buf: &mut Vec<Commit>) {
+        std::mem::swap(&mut self.commits, buf);
+    }
+
+    /// Runs one cycle. Its commits are taken with [`Core::swap_commits`].
+    pub fn cycle(&mut self, code: &CodeImage, data: &mut Memory, hier: &mut Hierarchy) {
         self.commits.clear();
         let mut budget = self.cfg.issue_width;
         let mut mem_ports = self.cfg.mem_ports;
@@ -209,7 +203,6 @@ impl Core {
 
         self.cycle += 1;
         self.stats.cycles += 1;
-        &self.commits
     }
 
     #[allow(clippy::too_many_lines)]
@@ -231,13 +224,7 @@ impl Core {
             let Some(op) = code.fetch_op(pc) else {
                 // Ran off mapped code: treat as halt.
                 self.ctx.halted = true;
-                self.commits.push(Commit {
-                    ctx: MAIN_CTX,
-                    pc,
-                    next_pc: pc,
-                    cycle: now,
-                    kind: CommitKind::Halt,
-                });
+                self.commits.push(Commit { pc, cycle: now, kind: CommitKind::Halt });
                 return;
             };
             if op.is_invalid() {
@@ -354,7 +341,7 @@ impl Core {
             self.ctx.pc = next_pc;
             self.stats.main_committed += 1;
             *budget -= 1;
-            self.commits.push(Commit { ctx: MAIN_CTX, pc, next_pc, cycle: now, kind });
+            self.commits.push(Commit { pc, cycle: now, kind });
             if redirect || self.ctx.halted {
                 // Cannot fetch past a taken control transfer in the same cycle.
                 return;
@@ -668,7 +655,9 @@ mod tests {
         let mut data = Memory::new();
         let mut hier = Hierarchy::new(MemConfig::tiny_for_tests());
         let mut core = Core::new(CpuConfig::paper_baseline(), prog.entry);
-        let commits = core.cycle(&img, &mut data, &mut hier);
+        core.cycle(&img, &mut data, &mut hier);
+        let mut commits = Vec::new();
+        core.swap_commits(&mut commits);
         assert!(matches!(commits[0].kind, CommitKind::Halt));
     }
 }

@@ -27,7 +27,7 @@ pub mod config;
 pub mod core;
 pub mod stats;
 
-pub use crate::core::{Core, HelperJob, HELPER_CTX, MAIN_CTX, NUM_CONTEXTS};
+pub use crate::core::{Core, HelperJob};
 pub use branch::BranchPredictor;
 pub use code::{CodeImage, FetchError, PatchError, PredecodedOp, NO_USE};
 pub use commit::{Commit, CommitKind};

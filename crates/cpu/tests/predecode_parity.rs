@@ -1,17 +1,19 @@
-//! Differential parity suite for the predecoded hot loop.
+//! Parity between the predecoded hot loop and the code it executes.
 //!
-//! The core normally executes from the decode-once [`tdo_cpu::PredecodedOp`]
-//! arrays; `Machine::set_per_fetch_decode(true)` forces it back to decoding
-//! the stored word on every fetch, exactly as the pre-predecode simulator
-//! did. These tests prove the two modes are *commit-for-commit identical* —
-//! same cycles, same stats, same probe-event trajectories, same persisted
-//! bytes — across all 14 workloads, including the arm where the optimizer
-//! patches prefetch-distance immediates into live code mid-run (the path
-//! that exercises the patch→re-predecode invalidation protocol).
+//! The core executes from the decode-once [`tdo_cpu::PredecodedOp`] arrays,
+//! and [`tdo_cpu::CodeImage::write_word`] re-predecodes the one slot each
+//! patch touches. [`tdo_cpu::CodeImage::check_predecode`] re-derives every
+//! mapped slot from its stored word; these tests run it after whole
+//! simulations across all 14 workloads, including the arm where the
+//! optimizer patches prefetch-distance immediates into live code mid-run
+//! (the path that exercises the patch→re-predecode invalidation protocol),
+//! and check the trace registry against the image the core ran.
 
+use tdo_isa::Inst;
 use tdo_sim::{
-    encode_result, run, Cell, ExperimentSpec, Machine, PrefetchSetup, Runner, SimConfig, SimResult,
+    encode_result, run, Cell, ExperimentSpec, Machine, PrefetchSetup, Runner, SimConfig,
 };
+use tdo_trident::TraceOp;
 use tdo_workloads::{build, names, Scale};
 
 /// Short but optimizer-exercising window (same shape the engine tests use;
@@ -23,44 +25,44 @@ fn cfg(setup: PrefetchSetup) -> SimConfig {
     cfg
 }
 
-/// Runs one workload in the given decode mode and returns its result.
-fn run_mode(workload: &str, setup: PrefetchSetup, per_fetch: bool) -> SimResult {
+/// Runs one workload and checks its final code image; returns the result
+/// and the number of slots checked.
+fn run_checked(workload: &str, setup: PrefetchSetup) -> (tdo_sim::SimResult, usize) {
     let w = build(workload, Scale::Test).expect("known workload");
-    let mut m = Machine::new(&w, cfg(setup));
-    m.set_per_fetch_decode(per_fetch);
-    m.run()
-}
-
-/// The persisted representation is the strongest equality we have: every
-/// counter the store round-trips, as raw codec words.
-fn digest(r: &SimResult) -> Vec<u64> {
-    encode_result(r)
+    let mut checked = Ok(0);
+    let r = Machine::new(&w, cfg(setup)).run_with_inspect(&mut |m| {
+        checked = m.code().check_predecode();
+    });
+    let checked = checked.unwrap_or_else(|e| panic!("{workload} ({setup:?}): {e}"));
+    (r, checked)
 }
 
 #[test]
-fn all_workloads_identical_without_patching() {
-    // NoPrefetch: the optimizer never runs, so the code image is immutable
-    // and parity isolates the predecoded *execution* path.
+fn predecode_is_coherent_on_every_workload_without_repair() {
+    // SwBasic: Trident links traces (patching original code and filling
+    // the code cache) and inserts prefetches at a fixed distance, but
+    // never repairs one in place.
+    let mut installed = 0;
     for name in names() {
-        let pre = run_mode(name, PrefetchSetup::NoPrefetch, false);
-        let raw = run_mode(name, PrefetchSetup::NoPrefetch, true);
-        assert_eq!(digest(&pre), digest(&raw), "{name}: predecoded != per-fetch (no-patch arm)");
+        let (r, checked) = run_checked(name, PrefetchSetup::SwBasic);
+        assert!(checked > 0, "{name}: empty image");
+        assert_eq!(r.optimizer.repairs, 0, "{name}: the basic arm repaired a distance");
+        installed += r.trident.traces_installed;
     }
+    assert!(installed > 0, "no trace was installed");
 }
 
 #[test]
-fn all_workloads_identical_with_mid_run_distance_patching() {
+fn predecode_stays_coherent_through_mid_run_distance_patching() {
     // SwSelfRepair: the helper thread installs prefetch-carrying traces and
     // then repairs their distances in place while the main context executes
     // them — every patched word must be re-predecoded before its next fetch.
     let mut total_repairs = 0u64;
     let mut total_groups = 0u64;
     for name in names() {
-        let pre = run_mode(name, PrefetchSetup::SwSelfRepair, false);
-        let raw = run_mode(name, PrefetchSetup::SwSelfRepair, true);
-        assert_eq!(digest(&pre), digest(&raw), "{name}: predecoded != per-fetch (self-repair arm)");
-        total_repairs += pre.optimizer.repairs;
-        total_groups += pre.optimizer.groups;
+        let (r, _) = run_checked(name, PrefetchSetup::SwSelfRepair);
+        total_repairs += r.optimizer.repairs;
+        total_groups += r.optimizer.groups;
     }
     // The whole point of this arm: prove the suite actually covered
     // mid-execution patches, not just cold predecode.
@@ -69,25 +71,30 @@ fn all_workloads_identical_with_mid_run_distance_patching() {
 }
 
 #[test]
-fn repair_trajectories_match_in_both_modes() {
-    // Beyond end-state stats: the full cycle-stamped probe-event log (trace
-    // installs, repairs, backouts...) must be identical event-for-event.
+fn installed_traces_match_the_image_after_repairs() {
+    // The trace registry the optimizer reasons over and the image the core
+    // executes must agree instruction for instruction, repaired prefetch
+    // distances included.
+    let (mut prefetches, mut repairs) = (0, 0);
     for name in ["mcf", "equake", "art"] {
         let w = build(name, Scale::Test).expect("known workload");
-        let trace = |per_fetch: bool| {
-            let recorder = tdo_obs::Recorder::shared();
-            let mut m = Machine::new(&w, cfg(PrefetchSetup::SwSelfRepair));
-            m.set_per_fetch_decode(per_fetch);
-            m.set_probe(recorder.clone());
-            let r = m.run();
-            let rec = std::rc::Rc::try_unwrap(recorder).expect("probe released").into_inner();
-            (digest(&r), rec.to_jsonl())
-        };
-        let (pre_digest, pre_events) = trace(false);
-        let (raw_digest, raw_events) = trace(true);
-        assert_eq!(pre_digest, raw_digest, "{name}: traced-run digests differ");
-        assert_eq!(pre_events, raw_events, "{name}: repair trajectories differ");
+        let r = Machine::new(&w, cfg(PrefetchSetup::SwSelfRepair)).run_with_inspect(&mut |m| {
+            for id in m.installed_traces() {
+                let t = m.trident().trace(id).expect("installed trace is registered");
+                for (i, ti) in t.insts.iter().enumerate() {
+                    let TraceOp::Real(inst) = ti.op else { continue };
+                    let op = m.code().fetch_op(t.cc_pc(i)).expect("trace body is mapped");
+                    assert_eq!(op.inst, inst, "{name}: trace {id:?} slot {i}");
+                    if matches!(inst, Inst::Prefetch { .. }) {
+                        prefetches += 1;
+                    }
+                }
+            }
+        });
+        repairs += r.optimizer.repairs;
     }
+    assert!(prefetches > 0, "no installed prefetch was checked");
+    assert!(repairs > 0, "no distance was repaired");
 }
 
 #[test]
@@ -100,19 +107,19 @@ fn predecoded_results_are_stable_across_worker_counts() {
             spec.push(Cell::new(name, Scale::Test, cfg(setup)));
         }
     }
-    let serial: Vec<Vec<u64>> = Runner::new(1).run_spec(&spec).iter().map(|r| digest(r)).collect();
+    let serial: Vec<Vec<u64>> =
+        Runner::new(1).run_spec(&spec).iter().map(|r| encode_result(r)).collect();
     let parallel: Vec<Vec<u64>> =
-        Runner::new(4).run_spec(&spec).iter().map(|r| digest(r)).collect();
+        Runner::new(4).run_spec(&spec).iter().map(|r| encode_result(r)).collect();
     assert_eq!(serial, parallel);
 }
 
 #[test]
-fn plain_run_helper_uses_predecoded_mode() {
-    // `run()` is what the engine calls; confirm it matches an explicit
-    // predecoded machine, so the suite's `run_mode(false)` arm really is
-    // the production path.
+fn plain_run_matches_the_inspected_run() {
+    // `run()` is what the engine calls; the checks above inspect machines
+    // through `run_with_inspect`, so both paths must simulate identically.
     let w = build("dot", Scale::Test).expect("known workload");
     let via_helper = run(&w, &cfg(PrefetchSetup::SwSelfRepair));
-    let via_machine = run_mode("dot", PrefetchSetup::SwSelfRepair, false);
-    assert_eq!(digest(&via_helper), digest(&via_machine));
+    let (via_inspect, _) = run_checked("dot", PrefetchSetup::SwSelfRepair);
+    assert_eq!(encode_result(&via_helper), encode_result(&via_inspect));
 }

@@ -27,18 +27,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    /// Set when the line was brought in by a prefetch and has not yet been
-    /// touched by a demand access (drives the Figure 6 breakdown).
-    prefetched: bool,
-    /// Set by stores; a dirty victim costs a write-back bus transfer.
-    dirty: bool,
-    last_use: u64,
-}
-
 /// Result of a demand lookup that hit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HitInfo {
@@ -63,9 +51,19 @@ pub struct Eviction {
 /// count — is precomputed at construction, so the per-access walk is one
 /// shift/mask/multiply plus a short tag scan with no recomputation (the
 /// tag shift used to be a `count_ones()` per access).
+///
+/// The ways are flat `u64` slots, one allocation set by set: a set's
+/// `ways` tag slots, then its `ways` meta slots. The walk scans the tag
+/// slots alone (8 bytes per way, so a 16-way set's tags are two host
+/// cache lines), and only a hit or a fill touches the meta slot beside
+/// them. A tag slot holds `tag + 1`, so 0 means invalid and an empty
+/// cache is one zeroed allocation; a meta slot holds the way's recency
+/// stamp shifted left by two, with the `PREFETCHED` and `DIRTY` bits
+/// below it.
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Line>,
+    /// Per set: `ways` tag slots, then `ways` meta slots.
+    slots: Vec<u64>,
     set_mask: u64,
     line_shift: u32,
     /// `tag = line >> tag_shift` (index bits removed); equals
@@ -76,14 +74,29 @@ pub struct Cache {
     stamp: u64,
 }
 
+/// Set when the line was brought in by a prefetch and has not yet been
+/// touched by a demand access (drives the Figure 6 breakdown).
+const PREFETCHED: u64 = 1 << 0;
+/// Set by stores; a dirty victim costs a write-back bus transfer.
+const DIRTY: u64 = 1 << 1;
+/// The flag bits below a meta slot's recency stamp.
+const FLAG_BITS: u32 = 2;
+
 impl Cache {
     /// Builds a cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an inconsistent geometry, or on one-byte lines in a
+    /// single set (a 64-bit tag would leave no room for the `tag + 1`
+    /// encoding).
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.num_sets();
+        assert!(cfg.line_bytes > 1 || sets > 1, "a cache tag must be narrower than 64 bits");
         Cache {
             cfg,
-            sets: vec![Line::default(); (sets * u64::from(cfg.assoc)) as usize],
+            slots: vec![0; (2 * sets * u64::from(cfg.assoc)) as usize],
             set_mask: sets - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
             tag_shift: (sets - 1).count_ones(),
@@ -98,20 +111,32 @@ impl Cache {
         &self.cfg
     }
 
-    /// The read-only half of every walk: locates the valid line holding
-    /// `addr`, returning its index into `sets`. Shared by the hit paths of
-    /// [`Cache::lookup`], [`Cache::probe`], [`Cache::mark_dirty`] and
-    /// [`Cache::invalidate`], which differ only in what they mutate after
-    /// finding it.
+    /// The first tag slot of `addr`'s set and `addr`'s encoded (`tag + 1`)
+    /// tag.
     #[inline]
-    fn find(&self, addr: u64) -> Option<usize> {
+    fn set_and_key(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        let base = ((line & self.set_mask) as usize) * self.ways;
-        let tag = line >> self.tag_shift;
-        self.sets[base..base + self.ways]
-            .iter()
-            .position(|l| l.valid && l.tag == tag)
-            .map(|i| base + i)
+        let base = ((line & self.set_mask) as usize) * 2 * self.ways;
+        (base, (line >> self.tag_shift) + 1)
+    }
+
+    /// The read-only half of every walk: locates the valid way holding
+    /// `addr`, returning its tag slot (its meta slot is `ways` further
+    /// on). Shared by [`Cache::lookup`], [`Cache::probe`],
+    /// [`Cache::insert`], [`Cache::mark_dirty`] and [`Cache::invalidate`],
+    /// which differ only in what they mutate after finding it. Invalid
+    /// ways hold 0, which no encoded tag equals.
+    #[inline]
+    fn find(&self, base: usize, key: u64) -> Option<usize> {
+        self.slots[base..base + self.ways].iter().position(|&t| t == key).map(|i| base + i)
+    }
+
+    /// Stamps the way whose tag slot is `i` as the most recent, keeping
+    /// the flag bits `keep` of its meta slot.
+    #[inline]
+    fn touch(&mut self, i: usize, keep: u64) {
+        let meta = &mut self.slots[i + self.ways];
+        *meta = (self.stamp << FLAG_BITS) | (*meta & keep);
     }
 
     /// Demand lookup: returns hit info and clears the line's prefetch bit.
@@ -122,71 +147,73 @@ impl Cache {
     /// consumes the line's prefetched bit on the first demand touch. The
     /// genuinely read-only probe is [`Cache::probe`] (backed by the shared
     /// [`Cache::find`] walk); callers that only need presence use that.
+    #[inline]
     pub fn lookup(&mut self, addr: u64) -> Option<HitInfo> {
-        let i = self.find(addr)?;
+        let (base, key) = self.set_and_key(addr);
+        let i = self.find(base, key)?;
         self.stamp += 1;
-        let l = &mut self.sets[i];
-        l.last_use = self.stamp;
-        let first = l.prefetched;
-        l.prefetched = false;
+        let first = self.slots[i + self.ways] & PREFETCHED != 0;
+        self.touch(i, DIRTY);
         Some(HitInfo { first_touch_of_prefetch: first })
     }
 
     /// Probe without updating LRU or prefetch state.
     #[must_use]
+    #[inline]
     pub fn probe(&self, addr: u64) -> bool {
-        self.find(addr).is_some()
+        let (base, key) = self.set_and_key(addr);
+        self.find(base, key).is_some()
     }
 
     /// Inserts the line containing `addr`, evicting the LRU way if needed.
     ///
     /// `prefetched` marks the line as prefetch-fetched (first demand touch
-    /// will report [`HitInfo::first_touch_of_prefetch`]).
+    /// will report [`HitInfo::first_touch_of_prefetch`]). The victim is the
+    /// first invalid way, else the first way with the smallest recency
+    /// stamp.
+    #[inline]
     pub fn insert(&mut self, addr: u64, prefetched: bool) -> Option<Eviction> {
         self.stamp += 1;
-        let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.ways;
-        let tag = line >> self.tag_shift;
+        let (base, key) = self.set_and_key(addr);
         // Already present: refresh.
-        if let Some(l) =
-            self.sets[base..base + self.ways].iter_mut().find(|l| l.valid && l.tag == tag)
-        {
-            l.last_use = self.stamp;
+        if let Some(i) = self.find(base, key) {
+            self.touch(i, PREFETCHED | DIRTY);
             return None;
         }
-        // Free way?
-        let victim_idx = match self.sets[base..base + self.ways].iter().position(|l| !l.valid) {
-            Some(i) => base + i,
+        let w = self.ways;
+        let (victim, evicted) = match self.slots[base..base + w].iter().position(|&t| t == 0) {
+            Some(i) => (base + i, None),
             None => {
-                let (i, _) = self.sets[base..base + self.ways]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.last_use)
-                    .expect("assoc > 0");
-                base + i
+                let metas = &self.slots[base + w..base + 2 * w];
+                let mut v = 0;
+                for (i, &m) in metas.iter().enumerate().skip(1) {
+                    if m >> FLAG_BITS < metas[v] >> FLAG_BITS {
+                        v = i;
+                    }
+                }
+                let set_index = (base / (2 * w)) as u64;
+                let line = ((self.slots[base + v] - 1) << self.tag_shift) | set_index;
+                let ev = Eviction {
+                    line_addr: line << self.line_shift,
+                    was_untouched_prefetch: metas[v] & PREFETCHED != 0,
+                    was_dirty: metas[v] & DIRTY != 0,
+                };
+                (base + v, Some(ev))
             }
         };
-        let victim = self.sets[victim_idx];
-        let evicted = victim.valid.then(|| {
-            let line = (victim.tag << self.tag_shift) | set as u64;
-            Eviction {
-                line_addr: line << self.line_shift,
-                was_untouched_prefetch: victim.prefetched,
-                was_dirty: victim.dirty,
-            }
-        });
-        self.sets[victim_idx] =
-            Line { valid: true, tag, prefetched, dirty: false, last_use: self.stamp };
+        self.slots[victim] = key;
+        self.slots[victim + w] =
+            (self.stamp << FLAG_BITS) | if prefetched { PREFETCHED } else { 0 };
         evicted
     }
 
     /// Marks the line containing `addr` dirty, if present. Returns whether
     /// the line was found.
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        match self.find(addr) {
+        let (base, key) = self.set_and_key(addr);
+        match self.find(base, key) {
             Some(i) => {
-                self.sets[i].dirty = true;
+                self.slots[i + self.ways] |= DIRTY;
                 true
             }
             None => false,
@@ -195,13 +222,15 @@ impl Cache {
 
     /// Invalidates the line containing `addr`, if present.
     pub fn invalidate(&mut self, addr: u64) {
-        if let Some(i) = self.find(addr) {
-            self.sets[i].valid = false;
+        let (base, key) = self.set_and_key(addr);
+        if let Some(i) = self.find(base, key) {
+            self.slots[i] = 0;
         }
     }
 
     /// Address of the first byte of the line containing `addr`.
     #[must_use]
+    #[inline]
     pub fn line_addr(&self, addr: u64) -> u64 {
         addr >> self.line_shift << self.line_shift
     }
@@ -282,6 +311,33 @@ mod tests {
         c.insert(0x0, false);
         c.invalidate(0x0);
         assert!(!c.probe(0x0));
+    }
+
+    #[test]
+    fn invalidated_way_is_reused_and_tag_zero_round_trips() {
+        // Line 0x000 has tag 0, stored as 1: invalidating it must free the
+        // way (stored 0), and the freed way is the next fill's victim.
+        let mut c = tiny();
+        c.insert(0x000, true);
+        c.insert(0x080, false);
+        c.invalidate(0x000);
+        assert!(!c.probe(0x000));
+        assert!(c.lookup(0x000).is_none());
+        assert!(c.insert(0x100, false).is_none(), "fills the invalidated way");
+        assert!(c.probe(0x080) && c.probe(0x100));
+        // Reinserting tag 0 evicts the LRU way (0x080) and reports it.
+        let ev = c.insert(0x000, false).expect("set is full");
+        assert_eq!(ev.line_addr, 0x080);
+        assert_eq!(c.lookup(0x000), Some(HitInfo { first_touch_of_prefetch: false }));
+        // A tag-0 victim decodes back to line address 0.
+        c.insert(0x100, false);
+        c.mark_dirty(0x000);
+        c.lookup(0x100);
+        let ev = c.insert(0x180, false).expect("eviction");
+        assert_eq!(
+            ev,
+            Eviction { line_addr: 0x000, was_untouched_prefetch: false, was_dirty: true }
+        );
     }
 
     #[test]

@@ -9,10 +9,10 @@
 use std::collections::VecDeque;
 
 use tdo_arms::{ArmConfig, ArmStats, Prefetcher};
+use tdo_rand::FastSet;
 
 use crate::cache::Cache;
 use crate::config::MemConfig;
-use crate::fasthash::FastSet;
 use crate::stats::{AccessResult, LoadClass, MemStats, PrefetchOutcome, ServiceLevel};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

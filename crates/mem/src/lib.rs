@@ -34,14 +34,12 @@
 
 pub mod cache;
 pub mod config;
-pub mod fasthash;
 pub mod hierarchy;
 pub mod memory;
 pub mod stats;
 
 pub use cache::{Cache, CacheConfig};
 pub use config::MemConfig;
-pub use fasthash::{FastHasher, FastMap, FastSet};
 pub use hierarchy::Hierarchy;
 pub use memory::Memory;
 pub use stats::{AccessResult, LoadClass, MemStats, PrefetchOutcome, ServiceLevel};

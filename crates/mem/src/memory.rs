@@ -5,16 +5,14 @@
 //! writes. Reads of unmapped memory return zero without allocating, which
 //! also gives the non-faulting load (`ldnf`) its defined semantics.
 
-use tdo_rand::Fnv1a;
-
-use crate::fasthash::FastMap;
+use tdo_rand::{FastMap, Fnv1a};
 
 const PAGE_BITS: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_BITS;
 
 /// Sparse, page-granular byte-addressable memory.
 ///
-/// The page table is keyed with the crate's [`crate::fasthash::FastHasher`]:
+/// The page table is keyed with `tdo-rand`'s [`tdo_rand::FastHasher`]:
 /// every simulated load walks it, so the default SipHash was pure overhead.
 #[derive(Default)]
 pub struct Memory {
@@ -53,6 +51,7 @@ impl Memory {
     /// Reads a little-endian 64-bit value (fast path for aligned, page-local
     /// accesses; byte-wise otherwise).
     #[must_use]
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
         let off = (addr as usize) & (PAGE_BYTES - 1);
         if off + 8 <= PAGE_BYTES {
@@ -70,6 +69,7 @@ impl Memory {
     }
 
     /// Writes a little-endian 64-bit value.
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         let off = (addr as usize) & (PAGE_BYTES - 1);
         let bytes = value.to_le_bytes();

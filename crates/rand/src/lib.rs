@@ -13,7 +13,9 @@
 //! The crate also owns the workspace's stable hashes — FNV-1a
 //! ([`fnv1a64`], [`Fnv1a`]) and the SplitMix64 finalizer ([`mix64`],
 //! [`splitmix64`]) — so every key, checksum, digest and seeded schedule is
-//! computed by one copy of each.
+//! computed by one copy of each — and the simulator's one in-memory table
+//! hasher, the multiply-xor [`FastHasher`] behind [`FastMap`] and
+//! [`FastSet`].
 //!
 //! ```
 //! use tdo_rand::Rng;
@@ -28,8 +30,10 @@
 
 use std::ops::Range;
 
+mod fasthash;
 mod hash;
 
+pub use fasthash::{FastHasher, FastMap, FastSet};
 pub use hash::{fnv1a64, mix64, splitmix64, Fnv1a};
 
 /// A deterministic xoshiro256++ generator.

@@ -370,15 +370,6 @@ impl Machine {
         self.prof = Some(Box::default());
     }
 
-    /// Parity-test aid: switches the code image to decoding the stored
-    /// word on every fetch instead of serving predecoded ops. The two
-    /// modes are architecturally identical — the differential suite in
-    /// `crates/cpu/tests/predecode_parity.rs` runs both and byte-compares
-    /// the serialized results.
-    pub fn set_per_fetch_decode(&mut self, on: bool) {
-        self.code.set_per_fetch_decode(on);
-    }
-
     /// Attributes the wall time since the profiler's last mark to
     /// `phase`. Disabled-path cost: one branch.
     fn prof_lap(&mut self, phase: usize) {
@@ -437,6 +428,13 @@ impl Machine {
         &self.trident
     }
 
+    /// The running code image (original program plus code cache), with
+    /// every patch applied so far.
+    #[must_use]
+    pub fn code(&self) -> &CodeImage {
+        &self.code
+    }
+
     /// The delinquent load table.
     #[must_use]
     pub fn dlt(&self) -> &Dlt {
@@ -449,12 +447,10 @@ impl Machine {
         &self.optimizer
     }
 
-    /// Identifiers of all currently installed traces.
+    /// Identifiers of all currently installed traces, in ascending order.
     #[must_use]
     pub fn installed_traces(&self) -> Vec<TraceId> {
-        let mut ids: Vec<TraceId> = self.trident.trace_ids().collect();
-        ids.sort_unstable();
-        ids
+        self.trident.trace_ids().collect()
     }
 
     fn run_inner(&mut self) -> SimResult {
@@ -534,11 +530,12 @@ impl Machine {
             p.timer.start();
         }
 
-        // 1. One core cycle.
-        let commits = self.core.cycle(&self.code, &mut self.data, &mut self.hier);
+        // 1. One core cycle. Its commits come back by buffer swap, not by
+        // copy; `commit_buf` is taken out of `self` only so the monitors
+        // below may borrow the machine mutably while reading it.
+        self.core.cycle(&self.code, &mut self.data, &mut self.hier);
         let mut buf = std::mem::take(&mut self.commit_buf);
-        buf.clear();
-        buf.extend_from_slice(commits);
+        self.core.swap_commits(&mut buf);
         self.prof_lap(PHASE_CORE);
 
         // Phases 2–5 lap the profiler clock only when they actually did

@@ -195,15 +195,15 @@ impl Report {
 
     fn render_csv(&self) -> String {
         let mut out = String::new();
-        let _ = write!(out, "{}", self.key_header);
+        let _ = write!(out, "{}", csv_field(&self.key_header));
         for (h, _) in &self.cols {
-            let _ = write!(out, ",{h}");
+            let _ = write!(out, ",{}", csv_field(h));
         }
         out.push('\n');
         for row in &self.rows {
-            let _ = write!(out, "{}", row.key);
+            let _ = write!(out, "{}", csv_field(&row.key));
             for i in 0..self.cols.len() {
-                let _ = write!(out, ",{}", row.cells.get(i).map_or("", |c| c.trim()));
+                let _ = write!(out, ",{}", csv_field(row.cells.get(i).map_or("", |c| c.trim())));
             }
             out.push('\n');
         }
@@ -229,6 +229,16 @@ impl Report {
             out.push_str("}\n");
         }
         out
+    }
+}
+
+/// One CSV field: as is, or quoted (inner quotes doubled) when it holds a
+/// comma, a quote or a line break.
+fn csv_field(s: &str) -> std::borrow::Cow<'_, str> {
+    if s.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", s.replace('"', "\"\"")).into()
+    } else {
+        s.into()
     }
 }
 
@@ -262,6 +272,14 @@ mod tests {
     fn csv_strips_alignment() {
         let s = sample().render(Format::Csv);
         assert_eq!(s, "workload,a,b\nx,1.0,+2.0%\ngeomean,,+2.0%\n");
+    }
+
+    #[test]
+    fn csv_quotes_fields_that_hold_commas_or_quotes() {
+        let mut r = Report::new("t").key("component", 8).col("setting", 0);
+        r.row("L1, data", ["64 KB, \"2-way\""]);
+        let s = r.render(Format::Csv);
+        assert_eq!(s, "component,setting\n\"L1, data\",\"64 KB, \"\"2-way\"\"\"\n");
     }
 
     #[test]

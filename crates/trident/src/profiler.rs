@@ -6,8 +6,9 @@
 //! A hot trace is emitted as *starting PC + branch direction bitmap* once two
 //! consecutive captures of the path from the head agree (the path is stable).
 
+use tdo_rand::FastSet;
+
 use crate::events::HotEvent;
-use std::collections::HashSet;
 
 /// Configuration of the branch profiler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,8 +58,10 @@ pub struct BranchProfiler {
     table: Vec<CounterEntry>,
     sets: usize,
     captures: Vec<Capture>,
-    /// Heads already promoted to traces — suppressed until cleared.
-    traced: HashSet<u64>,
+    /// Heads already promoted to traces — suppressed until cleared. Probed
+    /// on every taken backward branch, so keyed with the multiply-xor
+    /// hasher; never iterated.
+    traced: FastSet<u64>,
     clock: u64,
     /// Hot-trace events emitted (stat).
     pub traces_emitted: u64,
@@ -74,7 +77,7 @@ impl BranchProfiler {
             table: vec![CounterEntry::default(); cfg.entries],
             sets,
             captures: Vec::with_capacity(cfg.capture_units),
-            traced: HashSet::new(),
+            traced: FastSet::default(),
             clock: 0,
             traces_emitted: 0,
             cfg,

@@ -150,7 +150,12 @@ pub struct Trident {
     /// Counters.
     pub stats: TridentStats,
     cfg: TridentConfig,
-    traces: HashMap<TraceId, Trace>,
+    /// The trace registry, indexed by [`TraceId`]: ids are dense (minted
+    /// by [`Trident::fresh_id`]) and never reused, so slot `id.0` holds the
+    /// trace while it is registered and `None` before and after. The
+    /// monitors look a trace up for every L1-missing trace load, which made
+    /// a hash probe here measurable.
+    traces: Vec<Option<Trace>>,
     /// Original-code head → currently linked trace.
     head_of: HashMap<u64, TraceId>,
     /// Original instruction at each patched head, for unlinking.
@@ -171,7 +176,7 @@ impl Trident {
             events: EventQueue::new(cfg.event_queue_cap),
             stats: TridentStats::default(),
             cfg,
-            traces: HashMap::new(),
+            traces: Vec::new(),
             head_of: HashMap::new(),
             original_head: HashMap::new(),
             next_id: 0,
@@ -259,13 +264,24 @@ impl Trident {
 
     /// A registered trace.
     #[must_use]
+    #[inline]
     pub fn trace(&self, id: TraceId) -> Option<&Trace> {
-        self.traces.get(&id)
+        self.traces.get(id.0 as usize)?.as_ref()
     }
 
-    /// Identifiers of every registered trace, in no particular order.
+    fn trace_mut(&mut self, id: TraceId) -> Option<&mut Trace> {
+        self.traces.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    /// Removes `id` from the registry, returning its trace if it was
+    /// registered. The slot stays behind as `None`; ids are never reused.
+    fn take_trace(&mut self, id: TraceId) -> Option<Trace> {
+        self.traces.get_mut(id.0 as usize)?.take()
+    }
+
+    /// Identifiers of every registered trace, in ascending id order.
     pub fn trace_ids(&self) -> impl Iterator<Item = TraceId> + '_ {
-        self.traces.keys().copied()
+        self.traces.iter().enumerate().filter(|(_, t)| t.is_some()).map(|(i, _)| TraceId(i as u32))
     }
 
     /// The trace currently linked at original-code `head`.
@@ -323,7 +339,7 @@ impl Trident {
         new_insts: Vec<TraceInst>,
     ) -> Result<PendingInstall, InstallError> {
         let (head, is_loop) = {
-            let old_trace = self.traces.get(&old).ok_or(InstallError::UnknownTrace(old))?;
+            let old_trace = self.trace(old).ok_or(InstallError::UnknownTrace(old))?;
             (old_trace.head, old_trace.is_loop)
         };
         let id = self.fresh_id();
@@ -383,7 +399,7 @@ impl Trident {
         let trace = &pending.trace;
         let mut forwards = Vec::new();
         if let Some(old) = pending.replaces {
-            if let Some(old_trace) = self.traces.remove(&old) {
+            if let Some(old_trace) = self.take_trace(old) {
                 self.watch.remove(old);
                 self.code_cache.retire(old_trace.insts.len());
                 self.head_of.remove(&old_trace.head);
@@ -396,7 +412,11 @@ impl Trident {
         }
         self.head_of.insert(trace.head, trace.id);
         self.profiler.mark_traced(trace.head);
-        self.traces.insert(trace.id, trace.clone());
+        let slot = trace.id.0 as usize;
+        if slot >= self.traces.len() {
+            self.traces.resize_with(slot + 1, || None);
+        }
+        self.traces[slot] = Some(trace.clone());
         self.stats.traces_installed += 1;
         self.emit(
             now,
@@ -419,7 +439,7 @@ impl Trident {
     ///
     /// [`InstallError::UnknownTrace`] when `id` is not registered.
     pub fn backout(&mut self, now: u64, id: TraceId) -> Result<Vec<Patch>, InstallError> {
-        let trace = self.traces.remove(&id).ok_or(InstallError::UnknownTrace(id))?;
+        let trace = self.take_trace(id).ok_or(InstallError::UnknownTrace(id))?;
         self.watch.remove(id);
         self.head_of.remove(&trace.head);
         self.code_cache.retire(trace.insts.len());
@@ -445,7 +465,7 @@ impl Trident {
         index: usize,
         ti: TraceInst,
     ) -> Result<(), InstallError> {
-        let t = self.traces.get_mut(&id).ok_or(InstallError::UnknownTrace(id))?;
+        let t = self.trace_mut(id).ok_or(InstallError::UnknownTrace(id))?;
         t.insts[index] = ti;
         Ok(())
     }
@@ -532,6 +552,28 @@ mod tests {
         assert_eq!(fwd_inst.branch_target(fwd.addr), Some(0x1000));
         assert_eq!(t.linked_at(0x1000), None);
         assert_eq!(t.stats.backouts, 1);
+    }
+
+    #[test]
+    fn trace_ids_are_dense_and_never_reused() {
+        let (_, code) = loop_code();
+        let mut t = runtime();
+        let p0 = t.prepare_install(0, &code, 0x1000, 0b1, 1).unwrap();
+        t.commit_install(0, &p0).unwrap();
+        // Re-optimization: a new id replaces the old one.
+        let body = t.trace(p0.trace.id).unwrap().insts.clone();
+        let p1 = t.prepare_reinstall(0, &code, p0.trace.id, body).unwrap();
+        t.commit_install(0, &p1).unwrap();
+        assert_eq!(t.trace_ids().collect::<Vec<_>>(), [TraceId(1)]);
+        // Back-out empties the registry without recycling either slot.
+        t.backout(0, p1.trace.id).unwrap();
+        assert_eq!(t.trace_ids().count(), 0);
+        let p2 = t.prepare_install(0, &code, 0x1000, 0b1, 1).unwrap();
+        t.commit_install(0, &p2).unwrap();
+        assert_eq!(t.trace_ids().collect::<Vec<_>>(), [TraceId(2)]);
+        assert!(t.trace(TraceId(0)).is_none() && t.trace(TraceId(1)).is_none());
+        assert!(t.trace(TraceId(3)).is_none(), "past the registry's end");
+        assert_eq!(t.trace(TraceId(2)).map(|tr| tr.head), Some(0x1000));
     }
 
     #[test]
