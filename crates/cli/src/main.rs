@@ -956,7 +956,6 @@ fn cmd_ping(args: &[String]) -> Result<ExitCode, String> {
         for family in [
             "tdo_obs_flight_recorded_total",
             "tdo_obs_flight_overwritten_total",
-            "tdo_obs_flight_dropped_total",
             "tdo_obs_log_lines_total",
             "tdo_server_bad_requests_total",
             "tdo_server_flight_dumps_total",

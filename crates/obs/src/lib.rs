@@ -39,7 +39,6 @@ pub mod event;
 pub mod json;
 pub mod ledger;
 pub mod logline;
-pub mod profile;
 pub mod recorder;
 pub mod span;
 pub mod validate;
@@ -55,7 +54,6 @@ pub use ledger::{
     LEDGER_RECORD_WORDS,
 };
 pub use logline::{validate_log, Level};
-pub use profile::PhaseTimer;
 pub use recorder::Recorder;
 pub use span::{
     render_flight, validate_flight, FlightKind, FlightRecorder, SpanScope, TraceCtx, TraceIdGen,

@@ -208,10 +208,8 @@ impl Slot {
 pub struct FlightRecorder {
     slots: Vec<Slot>,
     head: AtomicU64,
-    paused: AtomicBool,
     recorded: Arc<Counter>,
     overwritten: Arc<Counter>,
-    dropped: Arc<Counter>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -235,10 +233,8 @@ impl FlightRecorder {
         FlightRecorder {
             slots: (0..capacity).map(|_| Slot::new()).collect(),
             head: AtomicU64::new(0),
-            paused: AtomicBool::new(false),
             recorded: Arc::new(Counter::new()),
             overwritten: Arc::new(Counter::new()),
-            dropped: Arc::new(Counter::new()),
         }
     }
 
@@ -261,24 +257,8 @@ impl FlightRecorder {
         self.overwritten.get()
     }
 
-    /// Records refused because the recorder was paused (monotonic).
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-
-    /// Pauses or resumes recording. While paused, records are counted as
-    /// dropped instead of written.
-    pub fn set_paused(&self, paused: bool) {
-        self.paused.store(paused, Ordering::Relaxed);
-    }
-
     /// Writes one record into the ring.
     pub fn record_raw(&self, rec: &FlightRecord) {
-        if self.paused.load(Ordering::Relaxed) {
-            self.dropped.inc();
-            return;
-        }
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         self.recorded.inc();
         if ticket >= self.slots.len() as u64 {
@@ -353,7 +333,7 @@ impl FlightRecorder {
         out
     }
 
-    /// Registers the recorder's drop/overwrite counters with a metrics
+    /// Registers the recorder's record/overwrite counters with a metrics
     /// registry.
     pub fn register_metrics(&self, reg: &Registry) {
         reg.register_counter(
@@ -367,12 +347,6 @@ impl FlightRecorder {
             &[],
             "Flight-recorder events displaced by newer ones.",
             Arc::clone(&self.overwritten),
-        );
-        reg.register_counter(
-            "tdo_obs_flight_dropped_total",
-            &[],
-            "Flight-recorder events refused while paused.",
-            Arc::clone(&self.dropped),
         );
     }
 }

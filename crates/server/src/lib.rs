@@ -151,7 +151,9 @@ impl Default for ServerConfig {
 }
 
 /// Seed for the per-connection trace-id stream (ids are echoed back as
-/// `X-Tdo-Trace` and stamp every flight-recorder event).
+/// `X-Tdo-Trace` and stamp every flight-recorder event). Each server mixes
+/// its bound port in, so two servers in one process, which share the
+/// flight recorder, mint different ids.
 const TRACE_SEED: u64 = 0x7d0_5eed;
 
 /// Interval between health ticks on the `tdo-health` thread.
@@ -566,7 +568,7 @@ impl Server {
             ticker: (Mutex::new(()), Condvar::new()),
             registry,
             m,
-            traces: TraceIdGen::new(TRACE_SEED),
+            traces: TraceIdGen::new(tdo_rand::mix64(TRACE_SEED ^ u64::from(wake_addr.port()))),
             slo_us: cfg.slo_us,
             flight_dir: cfg.flight_dir.clone(),
             flight_files: AtomicU64::new(0),

@@ -447,6 +447,21 @@ fn responses_carry_distinct_trace_ids_and_the_flight_dump_validates() {
 }
 
 #[test]
+fn two_servers_in_one_process_mint_different_trace_ids() {
+    // Both servers write into the one process-wide flight recorder, so
+    // their first requests must not share a trace id.
+    let (addr_a, handle_a, t_a) = start(1, 4);
+    let (addr_b, handle_b, t_b) = start(1, 4);
+    let a = client::get(&addr_a, "/health").unwrap();
+    let b = client::get(&addr_b, "/health").unwrap();
+    assert_ne!(trace_of(&a), trace_of(&b), "servers on {addr_a} and {addr_b} minted one id");
+    for (handle, t) in [(handle_a, t_a), (handle_b, t_b)] {
+        handle.shutdown();
+        t.join().expect("clean shutdown");
+    }
+}
+
+#[test]
 fn slo_breach_writes_a_validated_flight_dump() {
     let dir = std::env::temp_dir().join(format!("tdo-flight-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -16,6 +16,7 @@
 //!    out under-performing traces.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU8;
 
 use tdo_core::{Dlt, OptimizerConfig, PrefetchOptimizer, PreparedAction};
 use tdo_cpu::{CodeImage, Commit, CommitKind, Core, HelperJob};
@@ -29,8 +30,8 @@ use tdo_workloads::Workload;
 
 use crate::config::{policy_candidates, PolicyConfig, SimConfig};
 use crate::profile::{
-    MachineProfile, MachineProfiler, PHASE_CORE, PHASE_EVENTS, PHASE_MATURE, PHASE_MONITORS,
-    PHASE_OPTIMIZER, PHASE_SAMPLING,
+    mark, sampled, MachineProfile, MachineProfiler, OUTSIDE, PHASE_CORE, PHASE_EVENTS,
+    PHASE_MATURE, PHASE_MONITORS, PHASE_OPTIMIZER, PHASE_SAMPLING,
 };
 use crate::result::{DriverCounters, SimResult, Snapshot};
 
@@ -286,8 +287,8 @@ pub struct Machine {
     /// and arm-switch records both land here and become
     /// [`SimResult::ledger`].
     ledger: SharedLedger,
-    /// Self-profiler; `None` (the default) is the zero-cost disabled
-    /// path — every hook below is a single `Option` test.
+    /// Helper-job accounting of a profiled run; `None` (the default) on
+    /// plain runs, where each hook is a single `Option` test.
     prof: Option<Box<MachineProfiler>>,
 }
 
@@ -364,20 +365,6 @@ impl Machine {
         }
     }
 
-    /// Turns on the self-profiler (see [`crate::profile`]). The profiler
-    /// only reads the host clock, so the simulation result is unchanged.
-    pub fn enable_profiler(&mut self) {
-        self.prof = Some(Box::default());
-    }
-
-    /// Attributes the wall time since the profiler's last mark to
-    /// `phase`. Disabled-path cost: one branch.
-    fn prof_lap(&mut self, phase: usize) {
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.timer.lap(phase);
-        }
-    }
-
     /// Attaches an observability probe, shared with the Trident runtime and
     /// the prefetch optimizer: every layer's events land in one recorder, in
     /// deterministic simulation order, stamped with simulated cycles.
@@ -399,7 +386,7 @@ impl Machine {
     /// result.
     #[must_use]
     pub fn run(mut self) -> SimResult {
-        self.run_inner()
+        self.run_inner(None)
     }
 
     /// Like [`Machine::run`], but hands the final data memory to `probe`
@@ -407,7 +394,7 @@ impl Machine {
     /// across optimization arms.
     #[must_use]
     pub fn run_with_memory(mut self, probe: &mut dyn FnMut(&Memory)) -> SimResult {
-        let r = self.run_inner();
+        let r = self.run_inner(None);
         probe(&self.data);
         r
     }
@@ -417,7 +404,7 @@ impl Machine {
     /// traces, DLT contents, or optimizer state after a run.
     #[must_use]
     pub fn run_with_inspect(mut self, inspect: &mut dyn FnMut(&Machine)) -> SimResult {
-        let r = self.run_inner();
+        let r = self.run_inner(None);
         inspect(&self);
         r
     }
@@ -453,7 +440,9 @@ impl Machine {
         self.trident.trace_ids().collect()
     }
 
-    fn run_inner(&mut self) -> SimResult {
+    /// Runs the warmup and measurement window. A profiled run passes the
+    /// phase word its sampler reads; see [`crate::profile`].
+    fn run_inner(&mut self, word: Option<&AtomicU8>) -> SimResult {
         let warmup_end = self.cfg.warmup_insts;
         let budget = self.cfg.warmup_insts.saturating_add(self.cfg.measure_insts);
         let mut warm_snapshot: Option<Snapshot> = None;
@@ -462,6 +451,7 @@ impl Machine {
             && !self.core.halted()
             && self.core.now() < self.cfg.max_cycles
         {
+            mark(word, PHASE_CORE);
             // Batch-step: when nothing in the whole machine can act before
             // some future cycle — the main context is stalled, the helper
             // is idle, no job awaits commit and no event awaits dispatch —
@@ -483,11 +473,12 @@ impl Machine {
                     }
                 }
             }
-            self.step();
+            self.step(word);
             if warm_snapshot.is_none() && self.total_orig >= warmup_end {
                 warm_snapshot = Some(self.snapshot());
             }
         }
+        mark(word, OUTSIDE);
         self.optimizer.finalize();
         // Close out the live arm's counters so the per-kind aggregates in
         // `MemStats` cover every arm the run used.
@@ -525,39 +516,32 @@ impl Machine {
         self.cfg.trident_enabled && self.total_orig >= self.cfg.warmup_insts
     }
 
-    fn step(&mut self) {
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.timer.start();
-        }
-
+    /// One simulated cycle. The core phase began at the loop top; each
+    /// later phase marks the phase word when it starts and `OUTSIDE` when
+    /// it ends, so the guard tests between phases belong to none.
+    fn step(&mut self, word: Option<&AtomicU8>) {
         // 1. One core cycle. Its commits come back by buffer swap, not by
         // copy; `commit_buf` is taken out of `self` only so the monitors
         // below may borrow the machine mutably while reading it.
         self.core.cycle(&self.code, &mut self.data, &mut self.hier);
         let mut buf = std::mem::take(&mut self.commit_buf);
         self.core.swap_commits(&mut buf);
-        self.prof_lap(PHASE_CORE);
-
-        // Phases 2–5 lap the profiler clock only when they actually did
-        // work: an idle phase's guard test costs nanoseconds, and reading
-        // the clock for it both distorts the attribution and — at 6–7
-        // reads per simulated cycle — used to be a large fraction of the
-        // profiled run's wall time. The guards' cost rolls into the next
-        // phase that does lap (or goes unattributed at step end).
 
         // 2. Feed the monitors.
         if !buf.is_empty() {
+            mark(word, PHASE_MONITORS);
             for c in &buf {
                 self.observe_commit(c);
             }
-            self.prof_lap(PHASE_MONITORS);
+            mark(word, OUTSIDE);
         }
         self.commit_buf = buf;
 
         // 2b. Windowed performance sample for the timeline.
         if self.probe_on && self.total_orig >= self.next_sample {
+            mark(word, PHASE_SAMPLING);
             self.emit_sample();
-            self.prof_lap(PHASE_SAMPLING);
+            mark(word, OUTSIDE);
         }
 
         // 2c. Policy-controller epoch boundary. Gated on committed
@@ -573,24 +557,27 @@ impl Machine {
             && self.core.helper_idle()
             && !self.trident.events.is_empty()
         {
+            mark(word, PHASE_EVENTS);
             self.dispatch_event();
-            self.prof_lap(PHASE_EVENTS);
+            mark(word, OUTSIDE);
         }
 
         // 4. Commit a finished helper job.
         if let Some(id) = self.core.take_finished_job() {
+            mark(word, PHASE_OPTIMIZER);
             self.finish_job(id);
-            self.prof_lap(PHASE_OPTIMIZER);
+            mark(word, OUTSIDE);
         }
 
         // 5. Phase-change extension: periodically re-open matured loads.
         if let (Some(at), Some(interval)) = (self.next_mature_clear, self.cfg.mature_clear_interval)
         {
             if self.core.now() >= at {
+                mark(word, PHASE_MATURE);
                 self.dlt.clear_all_mature();
                 self.optimizer.refresh_budgets();
                 self.next_mature_clear = Some(at + interval);
-                self.prof_lap(PHASE_MATURE);
+                mark(word, OUTSIDE);
             }
         }
     }
@@ -962,22 +949,19 @@ pub fn run(workload: &Workload, cfg: &SimConfig) -> SimResult {
 /// Runs `workload` under `cfg` with the self-profiler enabled, returning
 /// the result plus the phase-attribution profile.
 ///
-/// The profiler only reads the host clock, so the [`SimResult`] is
-/// byte-identical to an unprofiled run; only the profile's `*_wall_ns`
-/// fields are nondeterministic.
+/// The profiler only stores to a phase word that a sampler thread reads,
+/// so the [`SimResult`] is byte-identical to an unprofiled run; only the
+/// profile's `*_wall_ns` fields are nondeterministic.
 #[must_use]
 pub fn run_profiled(workload: &Workload, cfg: &SimConfig) -> (SimResult, MachineProfile) {
     let mut machine = Machine::new(workload, cfg.clone());
-    machine.enable_profiler();
-    let t0 = std::time::Instant::now();
-    let result = machine.run_inner();
-    let run_wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let cycles = machine.core.now();
+    machine.prof = Some(Box::default());
+    let (result, run_wall_ns, phase_wall_ns) = sampled(|word| machine.run_inner(Some(word)));
     let p = machine.prof.take().expect("profiler enabled above");
     let profile = MachineProfile {
-        phase_wall_ns: p.timer.wall_ns,
+        phase_wall_ns,
         run_wall_ns,
-        cycles,
+        cycles: machine.core.now(),
         helper_cycles: p.helper_cycles,
         helper_jobs: p.helper_jobs,
     };
