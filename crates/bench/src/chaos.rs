@@ -184,16 +184,20 @@ pub fn run(opts: &ChaosOpts) -> ChaosOutcome {
     ChaosOutcome { report, coverage_text, violations, flight_dump, flight_log }
 }
 
-/// Scenario 1: probabilistic faults on every store write path. Acknowledged
-/// records must survive in-process reads and a kill-and-restart; fired
-/// injections must show up in the metrics registry.
+/// Scenario 1: probabilistic faults on every store write path: the append
+/// sites under the puts, the rename sites under the log rewrites of the
+/// compactions that follow. Acknowledged records must survive in-process
+/// reads and a kill-and-restart; fired injections must show up in the
+/// metrics registry.
 fn store_write_sweep(opts: &ChaosOpts, violations: &mut Vec<String>, cov: &mut Coverage) -> String {
     let dir = TempDir::new("write-sweep");
     let puts: u64 = if opts.quick { 48 } else { 160 };
+    let compactions: u64 = if opts.quick { 12 } else { 40 };
     let store = Store::open(dir.path()).expect("open scratch store");
     let reg = Registry::new();
     let mut acked: Vec<u64> = Vec::new();
     let mut failed = 0u64;
+    let mut gc_failed = 0u64;
     let write_fires;
     {
         let guard = arm_with_registry(
@@ -209,6 +213,9 @@ fn store_write_sweep(opts: &ChaosOpts, violations: &mut Vec<String>, cov: &mut C
                 Ok(()) => acked.push(key),
                 Err(_) => failed += 1,
             }
+        }
+        for _ in 0..compactions {
+            gc_failed += u64::from(store.gc(SCHEMA).is_err());
         }
         // In-process: every acknowledged record reads back exactly.
         for &key in &acked {
@@ -264,8 +271,8 @@ fn store_write_sweep(opts: &ChaosOpts, violations: &mut Vec<String>, cov: &mut C
         ));
     }
     format!(
-        "[store-write-sweep] puts={puts} acked={} failed={failed} fires={write_fires} \
-         lost={lost} clean={} metrics-ok={}\n",
+        "[store-write-sweep] puts={puts} acked={} failed={failed} compactions={compactions} \
+         gc-failed={gc_failed} fires={write_fires} lost={lost} clean={} metrics-ok={}\n",
         acked.len(),
         u8::from(verify.is_clean()),
         u8::from(metrics_ok && counted == write_fires),
@@ -338,6 +345,8 @@ fn store_corrupt_sweep(
 /// Scenario 3: the exhaustive kill-and-restart sweep. For every write-path
 /// site and every injection point `nth`, fault exactly the nth hit, keep
 /// writing, then kill and restart: zero acknowledged records may be lost.
+/// The rename sites sit on log rewrites, so for them every put is followed
+/// by a compaction, and the nth compaction is the one faulted.
 fn kill_restart_sweep(
     opts: &ChaosOpts,
     violations: &mut Vec<String>,
@@ -350,6 +359,7 @@ fn kill_restart_sweep(
     let mut lost = 0u64;
     let mut faults_fired = 0u64;
     for site in sites {
+        let compact = matches!(site, Site::StoreRenameFail | Site::StoreTornRename);
         for nth in 1..=points {
             let dir = TempDir::new("kill-restart");
             let store = Store::open(dir.path()).expect("open scratch store");
@@ -359,6 +369,9 @@ fn kill_restart_sweep(
                 for key in 1..=(points + 4) {
                     if store.put(key, SCHEMA, &payload_for(opts.seed, key)).is_ok() {
                         acked.push(key);
+                    }
+                    if compact {
+                        let _ = store.gc(SCHEMA);
                     }
                 }
                 faults_fired +=

@@ -693,6 +693,24 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
     // A root holding `shard-NNN/` directories (a `tdo serve --shards N`
     // store) is acted on shard by shard; any other root is one store.
     let shards = shard_dirs(&dir)?;
+    if action == "verify" {
+        // Each shard's log as it lies on disk: opening a store heals it,
+        // which would erase the damage this action exists to report.
+        let mut clean = true;
+        for shard in ShardedStore::dirs(&dir, shards) {
+            let report = Store::verify_dir(&shard)
+                .map_err(|e| format!("cannot verify store `{}`: {e}", shard.display()))?;
+            println!(
+                "store {}: {} good, {} corrupt, {} trailing garbage bytes",
+                shard.display(),
+                report.good,
+                report.corrupt,
+                report.trailing_garbage_bytes
+            );
+            clean &= report.is_clean();
+        }
+        return Ok(if clean { ExitCode::SUCCESS } else { ExitCode::FAILURE });
+    }
     let store = ShardedStore::open(&dir, shards)
         .map_err(|e| format!("cannot open store `{}`: {e}", dir.display()))?;
     match action.as_str() {
@@ -753,21 +771,6 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
             Ok(ExitCode::SUCCESS)
-        }
-        "verify" => {
-            let mut clean = true;
-            for store in store.shards() {
-                let report = store.verify().map_err(|e| format!("verify: {e}"))?;
-                println!(
-                    "store {}: {} good, {} corrupt, {} trailing garbage bytes",
-                    store.dir().display(),
-                    report.good,
-                    report.corrupt,
-                    report.trailing_garbage_bytes
-                );
-                clean &= report.is_clean();
-            }
-            Ok(if clean { ExitCode::SUCCESS } else { ExitCode::FAILURE })
         }
         "gc" => {
             for store in store.shards() {

@@ -290,7 +290,7 @@ fn store_maintenance_acts_on_every_shard_of_a_sharded_root() {
     assert_eq!(gc.lines().count(), 4, "one line per shard: {gc}");
     assert_eq!(sum_of(&gc, ", dropped"), 12, "{gc}");
 
-    for stray in ["records.log", "index.bin"] {
+    for stray in ["records.log", "records.tmp", "quarantine.log"] {
         assert!(!dir.0.join(stray).exists(), "nothing is created at the root: {stray}");
     }
 

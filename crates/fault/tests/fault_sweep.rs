@@ -46,8 +46,10 @@ fn payload(key: u64) -> Vec<u64> {
     (0..(2 + key % 7)).map(|_| rng.next_u64()).collect()
 }
 
-/// One seeded write sweep: 40 puts under probabilistic faults on every
-/// write-path site. Returns (acked keys, per-write-site fires).
+/// One seeded write sweep: 40 puts and then 8 compactions under
+/// probabilistic faults on every write-path site (the rename sites sit on
+/// log rewrites, so only the compactions reach them). Returns (acked keys,
+/// per-write-site fires).
 fn write_sweep(seed: u64, dir: &Path) -> (Vec<u64>, u64) {
     let store = {
         let _quiet = arm(FaultPlan::new(0));
@@ -60,6 +62,9 @@ fn write_sweep(seed: u64, dir: &Path) -> (Vec<u64>, u64) {
         .with_prob(Site::StoreTornRename, 120));
     let acked: Vec<u64> =
         (1..=40u64).filter(|&key| store.put(key, SCHEMA, &payload(key)).is_ok()).collect();
+    for _ in 0..8 {
+        let _ = store.gc(SCHEMA);
+    }
     let fires = guard.summary().iter().map(|r| r.fires).sum();
     (acked, fires)
 }

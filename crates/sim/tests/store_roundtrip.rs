@@ -28,7 +28,8 @@ impl TestDir {
         TestDir(dir)
     }
 
-    /// A fresh handle on the unsharded store in this directory.
+    /// A fresh handle on the unsharded store in this directory. A store
+    /// locks its directory, so any earlier handle must be dropped first.
     fn store(&self) -> Arc<ShardedStore> {
         Arc::new(ShardedStore::open(&self.0, 1).unwrap())
     }
@@ -73,7 +74,8 @@ fn second_runner_over_a_warm_store_performs_zero_simulations() {
     assert_eq!(cold.store_summary().as_deref(), Some("store: hits=0 misses=4 sims=4"));
 
     // A brand-new runner (fresh memo cache, fresh process in spirit) over
-    // the same directory.
+    // the same directory, once the cold one has let go of it.
+    drop(cold);
     let warm = Runner::with_store(2, dir.store());
     let warm_results = warm.run_spec(&spec);
     assert_eq!(warm.sims_run(), 0, "warm store serves every cell");
@@ -101,6 +103,7 @@ fn run_cell_reads_through_and_writes_through() {
     assert!(Arc::ptr_eq(&a, &b));
     assert_eq!((first.sims_run(), first.store_hits(), first.store_misses()), (1, 0, 1));
 
+    drop(first);
     let second = Runner::with_store(1, dir.store());
     let c = second.run_cell(&cell);
     assert_eq!((second.sims_run(), second.store_hits(), second.store_misses()), (0, 1, 0));
@@ -165,6 +168,7 @@ fn a_panicking_cell_does_not_cascade_or_poison_the_runner() {
     assert_eq!(runner.sims_run(), 2, "good cell is served from the memo cache");
 
     // The good result survived to disk despite its sibling's panic.
+    drop(runner);
     let fresh = Runner::with_store(1, dir.store());
     let _ = fresh.run_cell(&good);
     assert_eq!((fresh.sims_run(), fresh.store_hits()), (0, 1));

@@ -1,25 +1,27 @@
 //! # tdo-store — persistent, content-addressed experiment-result store
 //!
 //! The experiment engine memoizes simulation results in memory, per process.
-//! This crate makes that cache durable and shareable: an append-only record
-//! log plus an index file under one directory, keyed by a stable 64-bit
+//! This crate makes that cache durable and shareable: one append-only,
+//! checksummed record log under one directory, keyed by a stable 64-bit
 //! FNV-1a hash of the experiment cell's fingerprint. Every bench binary, CI
 //! job and CLI invocation pointed at the same directory (`TDO_STORE` /
-//! `--store-dir`, default `.tdo-store/`) reuses each other's simulations.
+//! `--store-dir`, default `.tdo-store/`) reuses each other's simulations,
+//! one at a time: an open store holds an exclusive lock on its directory.
 //!
 //! The store is deliberately generic: it maps `u64` keys to versioned
 //! integer payloads (`Vec<u64>`). The `SimResult` record schema lives next
 //! to `SimResult` itself (`tdo_sim::persist`), so this crate has no
 //! dependencies and no knowledge of simulator types.
 //!
-//! **Durability contract.** Appends are flushed and the index is committed
-//! by write-to-temp-then-rename, so a crash can only ever lose the record
-//! being written, never corrupt acknowledged ones. On open, an index whose
-//! recorded log length does not match the file is discarded and the log is
-//! rescanned. Records that fail their checksum are *quarantined* — moved to
-//! `quarantine.log` and dropped from the live log — rather than failing the
-//! run; a store with a torn tail (killed mid-append) or a flipped bit heals
-//! itself and keeps serving the surviving records.
+//! **Durability contract.** A put is one append and one `fsync` of the log,
+//! so a crash can only ever lose the record being written, never corrupt
+//! acknowledged ones. The log is the only copy of the key map: open scans
+//! it once and keeps the newest record per key. Records that fail their
+//! checksum are *quarantined* — moved to `quarantine.log` and dropped from
+//! the live log — rather than failing the run; a store with a torn tail
+//! (killed mid-append) or a flipped bit heals itself on open and keeps
+//! serving the surviving records. The log is rewritten (write to a temp
+//! file, then rename) only to heal it, to start it, and by [`Store::gc`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -30,6 +32,7 @@ pub mod shard;
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -40,7 +43,7 @@ use tdo_metrics::{Counter, Histogram, HistogramSnapshot, Registry};
 pub use record::FORMAT_VERSION;
 pub use shard::{ShardMap, ShardedStore};
 
-use record::{Decoded, IndexEntry, Record};
+use record::{Decoded, Record};
 
 /// Environment variable naming the store directory.
 pub const STORE_ENV: &str = "TDO_STORE";
@@ -48,7 +51,6 @@ pub const STORE_ENV: &str = "TDO_STORE";
 pub const DEFAULT_DIR: &str = ".tdo-store";
 
 const LOG_FILE: &str = "records.log";
-const INDEX_FILE: &str = "index.bin";
 const QUARANTINE_FILE: &str = "quarantine.log";
 
 #[derive(Clone, Copy, Debug)]
@@ -76,7 +78,7 @@ pub struct StoreStats {
     pub log_bytes: u64,
     /// Quarantine file size in bytes (total ever quarantined).
     pub quarantine_bytes: u64,
-    /// Records quarantined by this process (open-scan + reads).
+    /// Corrupt records this process quarantined at open or caught on read.
     pub quarantined: u64,
     /// Successful reads served by this process.
     pub hits: u64,
@@ -97,7 +99,7 @@ pub struct GenerationSize {
     pub bytes: u64,
 }
 
-/// On-demand size breakdown of the live index (see [`Store::size_stats`]).
+/// On-demand size breakdown of the live records (see [`Store::size_stats`]).
 #[derive(Clone, Debug, Default)]
 pub struct SizeStats {
     /// Per-generation record and byte totals, sorted by version.
@@ -106,7 +108,8 @@ pub struct SizeStats {
     pub record_bytes: HistogramSnapshot,
 }
 
-/// Outcome of a full-log verification pass (see [`Store::verify`]).
+/// Outcome of a full-log verification pass (see [`Store::verify`] and
+/// [`Store::verify_dir`]).
 #[derive(Clone, Debug, Default)]
 pub struct VerifyReport {
     /// Records whose checksum verified.
@@ -143,9 +146,15 @@ pub struct GcReport {
 /// A persistent key → versioned-integer-payload store over one directory.
 ///
 /// All operations are thread-safe; the store can be shared behind an `Arc`
-/// by engine workers and server threads alike.
+/// by engine workers and server threads alike. It holds an exclusive lock
+/// on its directory until dropped, so no second store appends to the same
+/// log.
 pub struct Store {
     dir: PathBuf,
+    /// Open handle on `dir`: holds the store's lock, and is synced after a
+    /// log rename. Puts append to the renamed file, so a rename lost in a
+    /// crash would take the records acknowledged since with it.
+    dir_handle: fs::File,
     inner: Mutex<Inner>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -177,22 +186,24 @@ impl Store {
         }
     }
 
-    /// Opens (creating if necessary) the store under `dir`.
+    /// Opens (creating if necessary) the store under `dir` and locks the
+    /// directory for the store's lifetime.
     ///
-    /// A valid index whose recorded log length matches the log file is
-    /// trusted as-is; otherwise the log is scanned record by record,
-    /// corrupt records are quarantined, and both files are rewritten
-    /// atomically.
+    /// The key map is built by one scan of the log. A log the scan cannot
+    /// read whole is healed: its corrupt records and torn tail are
+    /// quarantined and the log is rewritten with the good records.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error creating the directory or reading/writing the
+    /// Returns an error naming the directory if another open store holds
+    /// it, and any I/O error creating the directory or reading/writing the
     /// store files. Corrupt *contents* are never an error — they are
     /// quarantined.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Store> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let store = Store {
+            dir_handle: lock_dir(&dir)?,
             dir,
             inner: Mutex::new(Inner::default()),
             hits: Arc::new(Counter::new()),
@@ -230,8 +241,8 @@ impl Store {
     ///
     /// Returns `None` when the key is absent, stored under a different
     /// schema version, or fails its checksum on read (in which case the
-    /// record is quarantined and forgotten — the caller re-simulates and
-    /// overwrites it).
+    /// key is forgotten — the caller re-simulates and overwrites it — and
+    /// the next open quarantines the record if it is bad on disk).
     #[must_use]
     pub fn get(&self, key: u64, version: u32) -> Option<Vec<u64>> {
         let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::StoreGet, key);
@@ -257,12 +268,10 @@ impl Store {
                 Some(rec.payload)
             }
             _ => {
-                // Bad bytes under a live index entry: quarantine and drop.
-                let len = record::record_len(entry.words) as u64;
-                let _ = self.quarantine_region(entry.offset, len);
+                // Bad bytes under a live key: forget the key. If the bytes
+                // are bad on disk too, the next open quarantines them.
                 self.quarantined.inc();
                 inner.index.remove(&key);
-                let _ = self.write_index(&inner);
                 self.misses.inc();
                 None
             }
@@ -271,15 +280,15 @@ impl Store {
 
     /// Writes (or overwrites) the payload under `key` at schema `version`.
     ///
-    /// The record is appended to the log and flushed, then the index is
-    /// committed via write-then-rename; an older record under the same key
-    /// becomes shadowed (reclaimable by [`Store::gc`]).
+    /// The record is appended to the log and flushed with one `fsync`; an
+    /// older record under the same key becomes shadowed (reclaimable by
+    /// [`Store::gc`]).
     ///
     /// # Errors
     ///
-    /// Returns any I/O error appending or committing. The store stays
-    /// consistent on failure: a half-appended record is quarantined by the
-    /// next open.
+    /// Returns any I/O error appending or flushing. The store stays
+    /// consistent on failure: the next put overwrites a half-appended
+    /// record, and the next open quarantines one left at the tail.
     pub fn put(&self, key: u64, version: u32, payload: &[u64]) -> io::Result<()> {
         let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::StorePut, key);
         let t0 = Instant::now();
@@ -317,7 +326,6 @@ impl Store {
         if inner.index.insert(key, Entry { offset, version, words }).is_some() {
             inner.shadowed += 1;
         }
-        self.write_index(&inner)?;
         self.puts.inc();
         self.put_latency_us.observe(elapsed_us(t0));
         Ok(())
@@ -340,8 +348,8 @@ impl Store {
     }
 
     /// Per-generation (schema-version) footprint of the live records plus
-    /// a record-size histogram, computed on demand from the in-memory
-    /// index. Purely a function of the live index, so deterministic for a
+    /// a record-size histogram, computed on demand from the in-memory key
+    /// map. Purely a function of the live records, so deterministic for a
     /// given store state.
     #[must_use]
     pub fn size_stats(&self) -> SizeStats {
@@ -433,58 +441,61 @@ impl Store {
         let _span = tdo_obs::SpanScope::enter(tdo_obs::FlightKind::StoreVerify, 0);
         let t0 = Instant::now();
         let _inner = self.lock();
-        let bytes = fs::read(self.dir.join(LOG_FILE))?;
-        let report = verify_bytes(&bytes);
+        let report = Scan::of(&fs::read(self.dir.join(LOG_FILE))?).report;
         self.verify_latency_us.observe(elapsed_us(t0));
         Ok(report)
     }
 
-    /// Compacts the log: keeps only live records whose schema version is
-    /// `keep_version`, dropping stale-schema, shadowed and corrupt records.
-    /// The new log and index are committed atomically.
+    /// Checks the log under `dir` as it lies on disk, without opening a
+    /// store there: opening heals the log, which would erase the damage a
+    /// check exists to report. Takes the directory lock while it reads.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error rewriting the files.
+    /// Returns an error naming the directory if an open store holds it,
+    /// and any I/O error reading the log.
+    pub fn verify_dir(dir: impl AsRef<Path>) -> io::Result<VerifyReport> {
+        let dir = dir.as_ref();
+        let _dir_lock = lock_dir(dir)?;
+        Ok(Scan::of(&fs::read(dir.join(LOG_FILE))?).report)
+    }
+
+    /// Compacts the log: keeps only live records whose schema version is
+    /// `keep_version`, dropping stale-schema, shadowed and corrupt records
+    /// and any bytes past the last acknowledged record. The new log is
+    /// committed atomically.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error rewriting the log; the old log then stays.
     pub fn gc(&self, keep_version: u32) -> io::Result<GcReport> {
         let mut inner = self.lock();
-        let mut report = GcReport { bytes_before: inner.log_len, ..GcReport::default() };
-        let mut kept: Vec<(u64, Record)> = Vec::new();
-        for (&key, entry) in &inner.index {
+        let mut bytes = fs::read(self.dir.join(LOG_FILE))?;
+        bytes.truncate(usize::try_from(inner.log_len).unwrap_or(usize::MAX));
+        let scan = Scan::of(&bytes);
+        let mut report = GcReport {
+            dropped_shadowed: scan.map.shadowed + scan.report.corrupt,
+            bytes_before: bytes.len() as u64,
+            ..GcReport::default()
+        };
+        let mut live: Vec<(u64, Entry)> = scan.map.index.into_iter().collect();
+        live.sort_unstable_by_key(|&(key, _)| key);
+        let mut log = record::log_header();
+        let mut index = HashMap::new();
+        for (key, entry) in live {
             if entry.version != keep_version {
                 report.dropped_stale += 1;
                 continue;
             }
-            if let Ok(Decoded::Good { rec, .. }) = self.read_record(entry) {
-                kept.push((key, rec));
-            } else {
-                report.dropped_shadowed += 1;
-            }
-        }
-        kept.sort_by_key(|(key, _)| *key);
-        let total_before = {
-            // Everything in the log that is not kept is reclaimed.
-            let v = verify_bytes(&fs::read(self.dir.join(LOG_FILE))?);
-            v.good + v.corrupt
-        };
-        report.kept = kept.len() as u64;
-        report.dropped_shadowed =
-            total_before.saturating_sub(kept.len() as u64 + report.dropped_stale);
-
-        let mut log = record::log_header();
-        let mut index = HashMap::new();
-        for (key, rec) in &kept {
-            let offset = log.len() as u64;
-            let words = u32::try_from(rec.payload.len()).expect("payload fits u32");
-            log.extend_from_slice(&record::encode_record(rec));
-            index.insert(*key, Entry { offset, version: rec.version, words });
+            let start = usize::try_from(entry.offset).expect("offset fits usize");
+            index.insert(key, Entry { offset: log.len() as u64, ..entry });
+            log.extend_from_slice(&bytes[start..start + record::record_len(entry.words)]);
         }
         self.commit(&self.dir.join(LOG_FILE), &log)?;
-        inner.index = index;
-        inner.log_len = log.len() as u64;
-        inner.shadowed = 0;
-        self.write_index(&inner)?;
-        report.bytes_after = inner.log_len;
+        report.kept = index.len() as u64;
+        report.bytes_after = log.len() as u64;
+        *inner = Inner { index, log_len: log.len() as u64, shadowed: 0 };
+        self.dir_handle.sync_all()?;
         Ok(report)
     }
 
@@ -496,7 +507,9 @@ impl Store {
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Atomic write-then-rename commit of `bytes` to `path`.
+    /// Atomic write-then-rename commit of `bytes` to `path`. On error the
+    /// rename has not happened; the caller syncs the directory once its
+    /// state matches the new file.
     fn commit(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let tmp = path.with_extension("tmp");
         {
@@ -517,21 +530,6 @@ impl Store {
         fs::rename(&tmp, path)
     }
 
-    fn write_index(&self, inner: &Inner) -> io::Result<()> {
-        let mut entries: Vec<IndexEntry> = inner
-            .index
-            .iter()
-            .map(|(&key, e)| IndexEntry {
-                key,
-                offset: e.offset,
-                version: e.version,
-                words: e.words,
-            })
-            .collect();
-        entries.sort_by_key(|e| e.key);
-        self.commit(&self.dir.join(INDEX_FILE), &record::encode_index(&entries, inner.log_len))
-    }
-
     fn read_record(&self, entry: &Entry) -> io::Result<Decoded> {
         let mut f = fs::File::open(self.dir.join(LOG_FILE))?;
         f.seek(SeekFrom::Start(entry.offset))?;
@@ -540,7 +538,7 @@ impl Store {
             Ok(()) => {
                 if let Some(token) = tdo_fault::fire(Site::StoreReadCorrupt) {
                     // Injected bit rot on the read path: flip one bit so the
-                    // checksum trips and the record is quarantined.
+                    // checksum trips and the key is forgotten.
                     let pos = token as usize % buf.len();
                     buf[pos] ^= 1 << ((token >> 8) & 7);
                 }
@@ -550,127 +548,61 @@ impl Store {
         }
     }
 
-    fn quarantine_region(&self, offset: u64, len: u64) -> io::Result<()> {
-        let mut f = fs::File::open(self.dir.join(LOG_FILE))?;
-        f.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; usize::try_from(len).expect("region fits usize")];
-        let n = f.read(&mut buf)?;
-        buf.truncate(n);
-        let mut q = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(QUARANTINE_FILE))?;
-        q.write_all(&buf)
-    }
-
-    /// Loads the store: trusts a matching index, otherwise scans the log,
-    /// quarantining corrupt records and rewriting the files.
+    /// Builds the key map from one scan of the log. A missing log is
+    /// started, and a log the scan could not read whole is healed first.
     fn load(&self) -> io::Result<()> {
-        let log_path = self.dir.join(LOG_FILE);
-        if !log_path.exists() {
-            let mut inner = self.lock();
-            self.commit(&log_path, &record::log_header())?;
-            inner.index.clear();
-            inner.log_len = record::LOG_HEADER_BYTES;
-            return self.write_index(&inner);
+        let bytes = match fs::read(self.dir.join(LOG_FILE)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let mut scan = Scan::of(&bytes);
+        if bytes.is_empty() || !scan.bad.is_empty() {
+            scan = Scan::of(&self.heal(&bytes, &scan.bad)?);
         }
-        let log_len = fs::metadata(&log_path)?.len();
-        if let Ok(bytes) = fs::read(self.dir.join(INDEX_FILE)) {
-            if let Some((entries, indexed_len)) = record::decode_index(&bytes) {
-                if indexed_len == log_len {
-                    let mut inner = self.lock();
-                    inner.index = entries
-                        .into_iter()
-                        .map(|e| {
-                            (e.key, Entry { offset: e.offset, version: e.version, words: e.words })
-                        })
-                        .collect();
-                    inner.log_len = log_len;
-                    return Ok(());
-                }
-            }
-        }
-        self.rescan()
+        *self.lock() = scan.map;
+        Ok(())
     }
 
-    /// Full log scan: keep good records (newest per key wins), quarantine
-    /// everything else, and commit a clean log + index.
-    fn rescan(&self) -> io::Result<()> {
-        let log_path = self.dir.join(LOG_FILE);
-        let bytes = fs::read(&log_path)?;
-        let mut good: Vec<Record> = Vec::new();
-        let mut quarantine: Vec<u8> = Vec::new();
-        let mut shadowed = 0u64;
-        let mut pos = record::LOG_HEADER_BYTES as usize;
-        if !record::check_log_header(&bytes) {
-            quarantine.extend_from_slice(&bytes);
-            pos = bytes.len();
+    /// Appends the `bad` ranges of `bytes` to the quarantine file, commits
+    /// a log of everything else (the good records, shadowed ones included,
+    /// in their order) and returns it.
+    fn heal(&self, bytes: &[u8], bad: &[Range<usize>]) -> io::Result<Vec<u8>> {
+        let mut log = record::log_header();
+        let mut quarantine = Vec::new();
+        let mut at = record::LOG_HEADER_BYTES as usize;
+        for range in bad {
+            // An unreadable header's range starts at 0, before `at`.
+            log.extend_from_slice(&bytes[at.min(range.start)..range.start]);
+            quarantine.extend_from_slice(&bytes[range.clone()]);
+            at = range.end;
         }
-        while pos < bytes.len() {
-            match record::decode_record(&bytes[pos..]) {
-                Decoded::Good { rec, len } => {
-                    if good.iter().any(|r| r.key == rec.key) {
-                        shadowed += 1;
-                    }
-                    good.push(rec);
-                    pos += len;
-                }
-                Decoded::BadChecksum { len } => {
-                    quarantine.extend_from_slice(&bytes[pos..pos + len]);
-                    self.quarantined.inc();
-                    pos += len;
-                }
-                Decoded::Garbage => {
-                    quarantine.extend_from_slice(&bytes[pos..]);
-                    self.quarantined.inc();
-                    pos = bytes.len();
-                }
-            }
-        }
-        let mut inner = self.lock();
-        if quarantine.is_empty()
-            && !good.is_empty()
-            && bytes.len() as u64 > record::LOG_HEADER_BYTES
-        {
-            // Log intact, only the index was missing/stale: keep the log
-            // bytes as-is and just rebuild the index.
-            let mut index = HashMap::new();
-            let mut offset = record::LOG_HEADER_BYTES;
-            for rec in &good {
-                let words = u32::try_from(rec.payload.len()).expect("payload fits u32");
-                index.insert(rec.key, Entry { offset, version: rec.version, words });
-                offset += rec.encoded_len() as u64;
-            }
-            inner.index = index;
-            inner.log_len = bytes.len() as u64;
-            inner.shadowed = shadowed;
-            return self.write_index(&inner);
-        }
+        log.extend_from_slice(&bytes[at.min(bytes.len())..]);
         if !quarantine.is_empty() {
-            let mut q = fs::OpenOptions::new()
+            self.quarantined.add(bad.len() as u64);
+            fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(self.dir.join(QUARANTINE_FILE))?;
-            q.write_all(&quarantine)?;
+                .open(self.dir.join(QUARANTINE_FILE))?
+                .write_all(&quarantine)?;
         }
-        // Rewrite the log with only the surviving records (newest per key
-        // kept live; older duplicates are preserved as shadowed history).
-        let mut log = record::log_header();
-        let mut index = HashMap::new();
-        let mut shadowed = 0u64;
-        for rec in &good {
-            let offset = log.len() as u64;
-            let words = u32::try_from(rec.payload.len()).expect("payload fits u32");
-            log.extend_from_slice(&record::encode_record(rec));
-            if index.insert(rec.key, Entry { offset, version: rec.version, words }).is_some() {
-                shadowed += 1;
-            }
-        }
-        self.commit(&log_path, &log)?;
-        inner.index = index;
-        inner.log_len = log.len() as u64;
-        inner.shadowed = shadowed;
-        self.write_index(&inner)
+        self.commit(&self.dir.join(LOG_FILE), &log)?;
+        self.dir_handle.sync_all()?;
+        Ok(log)
+    }
+}
+
+/// Takes the exclusive lock an open [`Store`] holds on its directory. The
+/// directory, not the log: healing and [`Store::gc`] replace the log file.
+fn lock_dir(dir: &Path) -> io::Result<fs::File> {
+    let handle = fs::File::open(dir)?;
+    match handle.try_lock() {
+        Ok(()) => Ok(handle),
+        Err(fs::TryLockError::WouldBlock) => Err(io::Error::new(
+            io::ErrorKind::WouldBlock,
+            format!("store {} is held by another open store", dir.display()),
+        )),
+        Err(fs::TryLockError::Error(e)) => Err(e),
     }
 }
 
@@ -679,29 +611,53 @@ fn elapsed_us(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Scans `bytes` (a whole log file) and classifies every record.
-fn verify_bytes(bytes: &[u8]) -> VerifyReport {
-    let mut report = VerifyReport::default();
-    if !record::check_log_header(bytes) {
-        report.trailing_garbage_bytes = bytes.len() as u64;
-        return report;
-    }
-    let mut pos = record::LOG_HEADER_BYTES as usize;
-    while pos < bytes.len() {
-        match record::decode_record(&bytes[pos..]) {
-            Decoded::Good { len, .. } => {
-                report.good += 1;
-                pos += len;
+/// One pass over a whole log image: the key map it implies (the newest
+/// good record per key wins), the verification counts, and the byte
+/// ranges holding no good record.
+#[derive(Default)]
+struct Scan {
+    map: Inner,
+    report: VerifyReport,
+    /// An unreadable header (then the whole image), records that fail
+    /// their checksum, and an unframeable tail, in log order.
+    bad: Vec<Range<usize>>,
+}
+
+impl Scan {
+    fn of(bytes: &[u8]) -> Scan {
+        let mut scan = Scan::default();
+        scan.map.log_len = bytes.len() as u64;
+        if !record::check_log_header(bytes) {
+            scan.report.trailing_garbage_bytes = bytes.len() as u64;
+            if !bytes.is_empty() {
+                scan.bad.push(0..bytes.len());
             }
-            Decoded::BadChecksum { len } => {
-                report.corrupt += 1;
-                pos += len;
-            }
-            Decoded::Garbage => {
-                report.trailing_garbage_bytes = (bytes.len() - pos) as u64;
-                break;
+            return scan;
+        }
+        let mut pos = record::LOG_HEADER_BYTES as usize;
+        while pos < bytes.len() {
+            match record::decode_record(&bytes[pos..]) {
+                Decoded::Good { rec, len } => {
+                    let words = u32::try_from(rec.payload.len()).expect("payload fits u32");
+                    let entry = Entry { offset: pos as u64, version: rec.version, words };
+                    if scan.map.index.insert(rec.key, entry).is_some() {
+                        scan.map.shadowed += 1;
+                    }
+                    scan.report.good += 1;
+                    pos += len;
+                }
+                Decoded::BadChecksum { len } => {
+                    scan.report.corrupt += 1;
+                    scan.bad.push(pos..pos + len);
+                    pos += len;
+                }
+                Decoded::Garbage => {
+                    scan.report.trailing_garbage_bytes = (bytes.len() - pos) as u64;
+                    scan.bad.push(pos..bytes.len());
+                    break;
+                }
             }
         }
+        scan
     }
-    report
 }

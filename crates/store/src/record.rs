@@ -1,4 +1,7 @@
-//! The on-disk binary formats: record log and index file.
+//! The on-disk format of `records.log`, the store's only file: a 16-byte
+//! header ([`LOG_MAGIC`], [`FORMAT_VERSION`], four reserved bytes) and then
+//! the records, back to back. No index is kept beside it; opening a store
+//! rebuilds the key map from one scan of the log.
 //!
 //! Everything is little-endian and integer-only. A record is
 //!
@@ -21,8 +24,6 @@ use tdo_rand::{fnv1a64, Fnv1a};
 
 /// Magic number opening the record log file.
 pub const LOG_MAGIC: u64 = 0x5444_4f53_544f_5231; // "TDOSTOR1"
-/// Magic number opening the index file.
-pub const IDX_MAGIC: u64 = 0x5444_4f49_4e44_5831; // "TDOINDX1"
 /// Magic number opening every record.
 pub const REC_MAGIC: u32 = 0x5444_5245; // "TDRE"
 /// On-disk container format version (bumped only when the framing changes;
@@ -152,74 +153,6 @@ pub fn decode_record(bytes: &[u8]) -> Decoded {
     Decoded::Good { rec: Record { version: u32_at(bytes, 4), key: u64_at(bytes, 8), payload }, len }
 }
 
-/// One index entry: where a key's newest record lives in the log.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// The record key.
-    pub key: u64,
-    /// Byte offset of the record in the log file.
-    pub offset: u64,
-    /// Payload schema version.
-    pub version: u32,
-    /// Payload length in words.
-    pub words: u32,
-}
-
-/// Serializes the index file: header, entries, trailing checksum. `log_len`
-/// binds the index to one exact log state — any mismatch on open forces a
-/// full rescan.
-#[must_use]
-pub fn encode_index(entries: &[IndexEntry], log_len: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + entries.len() * 24 + 8);
-    out.extend_from_slice(&IDX_MAGIC.to_le_bytes());
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&u32::try_from(entries.len()).expect("count fits u32").to_le_bytes());
-    out.extend_from_slice(&log_len.to_le_bytes());
-    for e in entries {
-        out.extend_from_slice(&e.key.to_le_bytes());
-        out.extend_from_slice(&e.offset.to_le_bytes());
-        out.extend_from_slice(&e.version.to_le_bytes());
-        out.extend_from_slice(&e.words.to_le_bytes());
-    }
-    let mut h = Fnv1a::new();
-    h.update(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out
-}
-
-/// Decodes an index file; `None` on any structural or checksum mismatch
-/// (the caller falls back to scanning the log).
-#[must_use]
-pub fn decode_index(bytes: &[u8]) -> Option<(Vec<IndexEntry>, u64)> {
-    if bytes.len() < 32
-        || bytes[0..8] != IDX_MAGIC.to_le_bytes()
-        || u32_at(bytes, 8) != FORMAT_VERSION
-    {
-        return None;
-    }
-    let count = u32_at(bytes, 12) as usize;
-    let log_len = u64_at(bytes, 16);
-    let body_len = 24 + count * 24;
-    if bytes.len() != body_len + 8 {
-        return None;
-    }
-    if fnv1a64(&bytes[..body_len]) != u64_at(bytes, body_len) {
-        return None;
-    }
-    let entries = (0..count)
-        .map(|i| {
-            let at = 24 + i * 24;
-            IndexEntry {
-                key: u64_at(bytes, at),
-                offset: u64_at(bytes, at + 8),
-                version: u32_at(bytes, at + 16),
-                words: u32_at(bytes, at + 20),
-            }
-        })
-        .collect();
-    Some((entries, log_len))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,19 +180,5 @@ mod tests {
         let bytes = encode_record(&rec);
         assert_eq!(decode_record(&bytes[..bytes.len() - 9]), Decoded::Garbage);
         assert_eq!(decode_record(&[]), Decoded::Garbage);
-    }
-
-    #[test]
-    fn index_round_trip_and_rejects_tampering() {
-        let entries = vec![
-            IndexEntry { key: 1, offset: 16, version: 1, words: 4 },
-            IndexEntry { key: 2, offset: 80, version: 2, words: 0 },
-        ];
-        let bytes = encode_index(&entries, 1234);
-        assert_eq!(decode_index(&bytes), Some((entries, 1234)));
-        let mut bad = bytes.clone();
-        bad[25] ^= 1;
-        assert_eq!(decode_index(&bad), None);
-        assert_eq!(decode_index(&bytes[..bytes.len() - 1]), None);
     }
 }

@@ -109,15 +109,21 @@ impl ShardedStore {
     /// Returns the first I/O error opening any shard directory.
     pub fn open(root: impl AsRef<Path>, n: usize) -> io::Result<ShardedStore> {
         let root = root.as_ref().to_path_buf();
-        let n = n.max(1);
-        let shards = if n == 1 {
-            vec![Arc::new(Store::open(&root)?)]
-        } else {
-            (0..n)
-                .map(|s| Store::open(root.join(format!("shard-{s:03}"))).map(Arc::new))
-                .collect::<io::Result<_>>()?
-        };
-        Ok(ShardedStore { root, map: ShardMap::new(n), shards })
+        let shards = ShardedStore::dirs(&root, n)
+            .into_iter()
+            .map(|dir| Store::open(dir).map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok(ShardedStore { root, map: ShardMap::new(shards.len()), shards })
+    }
+
+    /// The shard directories of an `n`-shard store under `root`, in shard
+    /// order: `root` itself for `n <= 1`, else `root/shard-000` onwards.
+    #[must_use]
+    pub fn dirs(root: &Path, n: usize) -> Vec<PathBuf> {
+        if n <= 1 {
+            return vec![root.to_path_buf()];
+        }
+        (0..n).map(|s| root.join(format!("shard-{s:03}"))).collect()
     }
 
     /// The root directory: the parent of the shard subdirectories, or the
@@ -279,10 +285,11 @@ mod tests {
         ss.put(7, 1, &[42]).unwrap();
         // The unsharded layout: a plain store at the root, unlabeled metrics.
         assert!(!dir.join("shard-000").exists());
-        assert_eq!(Store::open(&dir).unwrap().get(7, 1), Some(vec![42]));
         let reg = Registry::new();
         ss.register_metrics(&reg);
         assert!(reg.render_prom().contains("\ntdo_store_puts_total 1\n"));
+        drop(ss);
+        assert_eq!(Store::open(&dir).unwrap().get(7, 1), Some(vec![42]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,5 @@
-//! Durability and recovery tests: reopen, torn tails, flipped bits, index
-//! loss, shadowing and garbage collection.
+//! Durability and recovery tests: reopen, torn tails, flipped bits,
+//! shadowing, garbage collection and the directory lock.
 
 use std::fs;
 use std::path::PathBuf;
@@ -51,7 +51,7 @@ fn round_trip_and_reopen() {
         store.put(key, 1, &payload).unwrap();
         assert_eq!(store.get(key, 1).as_deref(), Some(&payload[..]));
     }
-    // Fresh process: the index fast-path must serve the same bytes.
+    // Fresh process: the key map rebuilt from the log serves the same bytes.
     let store = Store::open(dir.path()).unwrap();
     assert_eq!(store.len(), 1);
     assert_eq!(store.get(key, 1).as_deref(), Some(&payload[..]));
@@ -62,19 +62,34 @@ fn round_trip_and_reopen() {
 }
 
 #[test]
-fn reopen_without_index_rescans() {
-    let dir = TestDir::new("noindex");
+fn reopen_rebuilds_the_key_map_from_the_log() {
+    let dir = TestDir::new("reopen");
     {
         let store = Store::open(dir.path()).unwrap();
         store.put(1, 1, &[10, 20]).unwrap();
         store.put(2, 1, &[30]).unwrap();
     }
-    fs::remove_file(dir.path().join("index.bin")).unwrap();
+    // An index file left by an older build is ignored, whatever it holds.
+    fs::write(dir.path().join("index.bin"), b"stale").unwrap();
     let store = Store::open(dir.path()).unwrap();
     assert_eq!(store.len(), 2);
     assert_eq!(store.get(1, 1), Some(vec![10, 20]));
     assert_eq!(store.get(2, 1), Some(vec![30]));
     assert!(store.verify().unwrap().is_clean());
+}
+
+#[test]
+fn opening_a_clean_log_rewrites_nothing() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = TestDir::new("clean-open");
+    let inode = || fs::metadata(dir.log()).unwrap().ino();
+    drop(Store::open(dir.path()).unwrap());
+    let log = inode();
+    drop(Store::open(dir.path()).unwrap());
+    assert_eq!(inode(), log, "an empty store's log is not rewritten on open");
+    Store::open(dir.path()).unwrap().put(1, 1, &[1]).unwrap();
+    drop(Store::open(dir.path()).unwrap());
+    assert_eq!(inode(), log, "nor is a log that holds records");
 }
 
 #[test]
@@ -113,7 +128,6 @@ fn bit_flip_is_quarantined_not_a_panic() {
     let mut bytes = fs::read(dir.log()).unwrap();
     bytes[48] ^= 0x01;
     fs::write(dir.log(), &bytes).unwrap();
-    fs::remove_file(dir.path().join("index.bin")).unwrap(); // force rescan
 
     let store = Store::open(dir.path()).unwrap();
     assert_eq!(store.get(1, 1), None, "corrupt record dropped");
@@ -123,23 +137,79 @@ fn bit_flip_is_quarantined_not_a_panic() {
 }
 
 #[test]
-fn bit_flip_under_a_live_index_is_caught_at_read_time() {
+fn bit_flip_after_open_is_caught_at_read_time() {
     let dir = TestDir::new("bitflip-read");
-    {
-        let store = Store::open(dir.path()).unwrap();
-        store.put(1, 1, &[5; 16]).unwrap();
-    }
+    let store = Store::open(dir.path()).unwrap();
+    store.put(1, 1, &[5; 16]).unwrap();
+    // The key map was built before the flip, so only the checksum check
+    // at read time can catch it.
     let mut bytes = fs::read(dir.log()).unwrap();
     bytes[48] ^= 0x01;
     fs::write(dir.log(), &bytes).unwrap();
-    // Index still matches the log length, so open trusts it; the checksum
-    // check at read time must catch the flip.
-    let store = Store::open(dir.path()).unwrap();
     assert_eq!(store.get(1, 1), None);
     assert_eq!(store.stats().quarantined, 1);
     // Overwriting heals the key.
     store.put(1, 1, &[7; 16]).unwrap();
     assert_eq!(store.get(1, 1), Some(vec![7; 16]));
+    // The reopen quarantines the flipped record and keeps the overwrite.
+    drop(store);
+    let store = Store::open(dir.path()).unwrap();
+    assert_eq!(store.get(1, 1), Some(vec![7; 16]));
+    assert_eq!(store.stats().quarantined, 1);
+    assert!(store.verify().unwrap().is_clean());
+}
+
+#[test]
+fn the_shadow_count_survives_a_reopen() {
+    let dir = TestDir::new("shadow");
+    {
+        let store = Store::open(dir.path()).unwrap();
+        store.put(1, 1, &[1; 4]).unwrap();
+        store.put(1, 1, &[2; 4]).unwrap();
+        assert_eq!(store.stats().shadowed_records, 1);
+    }
+    let store = Store::open(dir.path()).unwrap();
+    assert_eq!(store.stats().shadowed_records, 1, "the log holds the shadowed record");
+    assert_eq!(store.get(1, 1), Some(vec![2; 4]), "the newest write wins");
+    assert_eq!(store.len(), 1);
+}
+
+#[test]
+fn a_second_store_on_one_directory_is_refused_until_the_first_drops() {
+    let dir = TestDir::new("lock");
+    let first = Store::open(dir.path()).unwrap();
+    first.put(1, 1, &[10]).unwrap();
+    let err = Store::open(dir.path()).unwrap_err();
+    assert!(err.to_string().contains(&dir.path().display().to_string()), "names the dir: {err}");
+    drop(first);
+    let second = Store::open(dir.path()).unwrap();
+    second.put(2, 1, &[20]).unwrap();
+    drop(second);
+    let store = Store::open(dir.path()).unwrap();
+    assert_eq!(store.get(1, 1), Some(vec![10]), "no acknowledged record is lost");
+    assert_eq!(store.get(2, 1), Some(vec![20]));
+}
+
+#[test]
+fn verify_dir_reports_damage_that_an_open_would_heal() {
+    let dir = TestDir::new("verify-dir");
+    {
+        let store = Store::open(dir.path()).unwrap();
+        store.put(1, 1, &[5; 16]).unwrap();
+        store.put(2, 1, &[6; 16]).unwrap();
+    }
+    let mut bytes = fs::read(dir.log()).unwrap();
+    bytes[48] ^= 0x01;
+    fs::write(dir.log(), &bytes).unwrap();
+    let report = Store::verify_dir(dir.path()).unwrap();
+    assert_eq!((report.good, report.corrupt), (1, 1));
+    assert_eq!(fs::read(dir.log()).unwrap(), bytes, "the check changes nothing");
+    // Opening heals: the corrupt record moves to the quarantine file. An
+    // open store holds the directory, so the check waits for it to drop.
+    let store = Store::open(dir.path()).unwrap();
+    assert!(Store::verify_dir(dir.path()).is_err());
+    drop(store);
+    assert!(Store::verify_dir(dir.path()).unwrap().is_clean());
 }
 
 #[test]
